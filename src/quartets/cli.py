@@ -22,7 +22,7 @@ from .decide import (
     minimality_report,
     semantic_infers,
 )
-from .enumeration import count_trees, default_jobs, enumerate_trees
+from .enumeration import count_trees, enumerate_trees
 from .errors import QuartetError
 from .model import LeafSet, integer_leaves, make_quartet, displays, natural_key
 from .newick import parse_newick, serialize_newick
@@ -138,7 +138,7 @@ def _cmd_enumerate(args) -> int:
     if cap is None:
         cap = _CLI_BINARY_CAP if mode == "binary" else _CLI_ALL_CAP
     if args.count_only:
-        print(count_trees(args.n, mode, cap=cap, jobs=default_jobs()))
+        print(count_trees(args.n, mode, cap=cap))
         return 0
     for tree in enumerate_trees(integer_leaves(args.n), mode, cap=cap):
         print(serialize_newick(tree))

@@ -14,10 +14,13 @@ Q. Two decision routes are provided and must agree:
   yields a second displayer, and every non-binary displayer arises by
   contracting edges of T, so the certificate is exact.
 
-The fast scan prunes the insertion search: a quartet's displayed status
-is frozen as soon as its four leaves are present, so branches that
-already fail one quartet can be dropped without losing any displayer and
-without disturbing the stream order of the survivors.
+The fast scan prunes the insertion search. A quartet xy|zk is checked
+when its largest leaf k is inserted, and k goes only where the child
+displays it: strictly inside S*, the z-side of the edge next to the
+x,y,z median in the parent. Every other position puts k on x's or y's
+branch or at the median, and the status a quartet gets on insertion of
+its last leaf never changes afterwards. So the rule drops no displayer
+and admits no extra one, and the survivors keep their stream order.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .model import (
     Quartet,
     QuartetSet,
     Split,
+    _displays_masks,
+    _unique_separator,
     contract,
     normalized_quartet,
 )
@@ -97,24 +102,15 @@ class MinimalityReport:
         return None
 
 
-def _level_pairs(qs: QuartetSet) -> dict[int, list[tuple[int, int]]]:
-    """Quartet pair masks grouped by the level at which all four leaves exist."""
+def _level_quartets(qs: QuartetSet) -> dict[int, list[tuple[int, int]]]:
+    """Each quartet xy|zk as (1<<z, xy mask), grouped by its largest leaf k."""
     levels: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for q in qs.sorted_quartets():
-        levels[max(q.b, q.d)].append(q.pair_masks())
-    return dict(levels)
-
-
-def _displays_masks(masks: tuple[int, ...], pairs) -> bool:
-    for p1, p2 in pairs:
-        for m in masks:
-            x = m & p1
-            y = m & p2
-            if (x == p1 and y == 0) or (y == p2 and x == 0):
-                break
+        if q.b > q.d:
+            levels[q.b].append((1 << q.a, (1 << q.c) | (1 << q.d)))
         else:
-            return False
-    return True
+            levels[q.d].append((1 << q.c, (1 << q.a) | (1 << q.b)))
+    return dict(levels)
 
 
 def _pruned_displayers(
@@ -122,7 +118,7 @@ def _pruned_displayers(
 ) -> Iterator[tuple[int, ...]]:
     n = qs.leaves.n
     _check_size(n, mode, cap)
-    return _stream_masks(n, mode, _level_pairs(qs))
+    return _stream_masks(n, mode, _level_quartets(qs))
 
 
 def displayers(
@@ -229,18 +225,6 @@ def defines(
             NOT_DEFINITIVE, None, None, (tree, contract(tree, loose)), mode
         )
     return DefinitivenessVerdict(DEFINES, tree, None, (tree,), mode)
-
-
-def _unique_separator(masks: tuple[int, ...], p1: int, p2: int) -> int | None:
-    found = None
-    for m in masks:
-        x = m & p1
-        y = m & p2
-        if (x == p1 and y == 0) or (y == p2 and x == 0):
-            if found is not None:
-                return None
-            found = m
-    return found
 
 
 def _undistinguished_masks(qs: QuartetSet, tree: PhyloTree) -> list[int]:

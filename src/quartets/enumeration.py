@@ -19,12 +19,18 @@ split m, sitting on the far side of exactly the splits containing m.
 Insertion positions are scanned in a fixed order (edge masks ascending,
 then the root-end vertex, then per-split vertices by ascending mask), so
 the stream order is deterministic and restarting reproduces it.
+
+A pruned stream keeps only the trees displaying given quartets. Each
+quartet is checked at the level k of its largest leaf, where it reads
+xy|zk. Leaf k is inserted only at positions strictly inside S*, the
+z-side of the parent's edge next to the x,y,z median: exactly those give
+a child displaying xy|zk, and later insertions never change the topology
+on leaves already present. So no displayer is dropped, none is added,
+and the survivors keep their order in the full stream.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
@@ -82,54 +88,97 @@ def _children(splits: tuple[int, ...], k: int, all_mode: bool) -> list[tuple[int
     return out
 
 
+def _pruned_children(
+    splits: tuple[int, ...], k: int, all_mode: bool, need: list[tuple[int, int]]
+) -> list[tuple[int, ...]]:
+    """The children _children would return that display every quartet xy|zk
+    in need, given as (1<<z, xy mask), in the same order.
+
+    Positions are filtered first and only the admissible ones are built.
+    """
+    bitk = 1 << k
+    full = bitk - 1
+    hi = k - 1
+    edges = sorted([1 << v for v in range(1, k)] + [full - 1] + list(splits))
+    vertices = list(splits) if all_mode else []
+    root = all_mode
+    for z, xy in need:
+        # S*: z's pendant side plus every split side holding z but not x, y;
+        # every other pendant edge has x and y on its z-side
+        star = z
+        for m in splits:
+            side = m if m & z else full ^ m
+            if not side & xy:
+                star |= side
+        out = full ^ star
+        # an edge is admissible iff one of its sides lies inside S*
+        edges = [u for u in edges if not u & out or u & out == out]
+        # a vertex must lie in S* and not be the median: below edge S* when
+        # leaf 0 is outside S*, otherwise anywhere off the median's subtree
+        if star & 1:
+            vertices = [v for v in vertices if v & star]
+            root = root and star != 1
+        else:
+            vertices = [v for v in vertices if not v & out]
+            root = False
+        if not (edges or vertices or root):
+            return []
+    children = []
+    for u in edges:
+        child = []
+        for m in splits:
+            if m == u:
+                continue
+            child.append(m | bitk if u & ~m == 0 else m)
+        if 2 <= u.bit_count() <= hi:
+            child.append(u)
+        w = u | bitk
+        if 2 <= w.bit_count() <= hi:
+            child.append(w)
+        child.sort()
+        children.append(tuple(child))
+    if root:
+        children.append(splits)
+    for v in vertices:
+        children.append(tuple(sorted(m | bitk if v & ~m == 0 else m for m in splits)))
+    return children
+
+
 def _stream_masks(
     n: int,
     mode: Mode,
     level_quartets: dict[int, list[tuple[int, int]]] | None = None,
-    last_position: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield split-mask tuples of every tree on leaf indices 0..n-1.
 
-    level_quartets optionally prunes: for each level k it lists pair
-    masks (p1, p2) whose four leaves all lie in 0..k; a subtree of the
-    search is abandoned as soon as one is not displayed. Insertions never
-    change the topology induced on existing leaves, so a quartet's
-    displayed-or-not status is frozen the moment its last leaf appears,
-    and pruning drops no displayer and admits no extra one.
-
-    last_position restricts the final insertion to one position index,
-    which partitions the full stream across position indices.
+    level_quartets optionally prunes: for each level k it lists the
+    quartets xy|zk whose largest leaf is k, as (1<<z, xy mask), and leaf k
+    is inserted only where the child displays all of them. The positions
+    are chosen on the parent, before any child is built. In the parent on
+    0..k-1 let m be the median of x, y and z, and S* the leaves of the
+    component of the tree minus m that holds z. S* is the union of the
+    edge sides holding z but neither x nor y, because those are the
+    nested z-sides of the edges on the path from m to z. The child
+    displays xy|zk exactly when k attaches strictly inside that component:
+    at an edge with one side inside S*, or at a vertex other than m there.
+    Any other position puts k on x's or y's branch or at m, where x, y, z,
+    k induce xk|yz, yk|xz or the star. Insertions never change the
+    topology induced on existing leaves, so a quartet's status is frozen
+    once its last leaf is in, and pruning drops no displayer, admits no
+    extra one, and keeps the survivors in stream order.
     """
     all_mode = mode == "all"
     if n == 3:
-        if last_position not in (None, 0):
-            return
         yield ()
         return
     stack: list[tuple[tuple[int, ...], int]] = [((), 3)]
     while stack:
         splits, k = stack.pop()
-        children = _children(splits, k, all_mode)
-        if k == n - 1 and last_position is not None:
-            children = children[last_position : last_position + 1]
-        if level_quartets:
-            need = level_quartets.get(k)
-            if need:
-                kept = []
-                for child in children:
-                    ok = True
-                    for p1, p2 in need:
-                        for m in child:
-                            x = m & p1
-                            y = m & p2
-                            if (x == p1 and y == 0) or (y == p2 and x == 0):
-                                break
-                        else:
-                            ok = False
-                            break
-                    if ok:
-                        kept.append(child)
-                children = kept
+        need = level_quartets.get(k) if level_quartets else None
+        if need:
+            children = _pruned_children(splits, k, all_mode, need)
+        else:
+            children = _children(splits, k, all_mode)
         if k == n - 1:
             yield from children
         else:
@@ -148,7 +197,6 @@ class TreeStream:
     leaves: LeafSet
     mode: Mode = "binary"
     cap: int | None = None
-    last_position: int | None = None
 
     def __post_init__(self):
         _check_mode(self.mode)
@@ -156,7 +204,7 @@ class TreeStream:
 
     def __iter__(self) -> Iterator[PhyloTree]:
         leaves = self.leaves
-        for masks in _stream_masks(leaves.n, self.mode, None, self.last_position):
+        for masks in _stream_masks(leaves.n, self.mode):
             yield PhyloTree._from_masks(leaves, masks)
 
 
@@ -165,7 +213,6 @@ def enumerate_trees(
     mode: Mode = "binary",
     *,
     cap: int | None = None,
-    last_position: int | None = None,
 ) -> TreeStream:
     """Stream every phylogenetic tree on the leaf set, each exactly once.
 
@@ -175,46 +222,15 @@ def enumerate_trees(
     """
     if isinstance(leaves, int):
         leaves = integer_leaves(leaves)
-    return TreeStream(leaves, mode, cap, last_position)
+    return TreeStream(leaves, mode, cap)
 
 
-def _count_range(args) -> int:
-    n, mode, position = args
-    return sum(1 for _ in _stream_masks(n, mode, None, position))
-
-
-def _position_count(n: int, mode: Mode) -> int:
-    """Upper bound on insertion positions at the last level."""
-    # a k-leaf tree with s splits has k + s edges and 1 + s vertices
-    k = n - 1
-    smax = k - 3
-    return (k + smax) + (0 if mode == "binary" else 1 + smax)
-
-
-def count_trees(n: int, mode: Mode = "binary", *, cap: int | None = None, jobs: int = 1) -> int:
+def count_trees(n: int, mode: Mode = "binary", *, cap: int | None = None) -> int:
     """Count the stream by consuming it.
 
     The count is measured rather than computed from a formula so it can
-    serve as one side of closed-form cross-checks. jobs > 1 splits the
-    work by the insertion position of the last leaf and sums the
-    partition counts, which cannot change the total.
+    serve as one side of closed-form cross-checks.
     """
     _check_mode(mode)
     _check_size(n, mode, cap)
-    if jobs <= 1 or n <= 4:
-        return sum(1 for _ in _stream_masks(n, mode))
-    tasks = [(n, mode, p) for p in range(_position_count(n, mode))]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_count_range, tasks, chunksize=1))
-
-
-def default_jobs() -> int:
-    """Worker count for partitioned scans, from QUARTETS_THREADS (default 1)."""
-    raw = os.environ.get("QUARTETS_THREADS", "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise QuartetError(f"QUARTETS_THREADS must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise QuartetError("QUARTETS_THREADS must be at least 1")
-    return jobs
+    return sum(1 for _ in _stream_masks(n, mode))

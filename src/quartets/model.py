@@ -294,6 +294,33 @@ def _check_quartet_indices(tree: PhyloTree, q: Quartet) -> None:
         )
 
 
+def _displays_masks(masks: tuple[int, ...], pairs) -> bool:
+    """Whether every quartet, given as pair masks (p1, p2), has a split in
+    masks separating p1 from p2."""
+    for p1, p2 in pairs:
+        for m in masks:
+            x = m & p1
+            y = m & p2
+            if (x == p1 and y == 0) or (y == p2 and x == 0):
+                break
+        else:
+            return False
+    return True
+
+
+def _unique_separator(masks: tuple[int, ...], p1: int, p2: int) -> int | None:
+    """The one split in masks separating p1 from p2; None if none or several."""
+    found = None
+    for m in masks:
+        x = m & p1
+        y = m & p2
+        if (x == p1 and y == 0) or (y == p2 and x == 0):
+            if found is not None:
+                return None
+            found = m
+    return found
+
+
 def displays(tree: PhyloTree, q: Quartet) -> bool:
     """Whether some edge of the tree separates {a,b} from {c,d}.
 
@@ -301,13 +328,7 @@ def displays(tree: PhyloTree, q: Quartet) -> bool:
     ab|cd. The star induced topology displays nothing.
     """
     _check_quartet_indices(tree, q)
-    p1, p2 = q.pair_masks()
-    for m in tree._masks:
-        x = m & p1
-        y = m & p2
-        if (x == p1 and y == 0) or (y == p2 and x == 0):
-            return True
-    return False
+    return _displays_masks(tree._masks, (q.pair_masks(),))
 
 
 def distinguished_edge(tree: PhyloTree, q: Quartet) -> Split | None:
@@ -317,15 +338,7 @@ def distinguished_edge(tree: PhyloTree, q: Quartet) -> Split | None:
     and more than one (q displayed but pinning down no single edge).
     """
     _check_quartet_indices(tree, q)
-    p1, p2 = q.pair_masks()
-    found = None
-    for m in tree._masks:
-        x = m & p1
-        y = m & p2
-        if (x == p1 and y == 0) or (y == p2 and x == 0):
-            if found is not None:
-                return None
-            found = m
+    found = _unique_separator(tree._masks, *q.pair_masks())
     return None if found is None else Split(found, tree.n)
 
 

@@ -1,7 +1,6 @@
 """End-to-end runs of the installed command line tool."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -9,15 +8,11 @@ from conftest import DATA
 from quartets import displays, make_quartet, parse_newick, parse_quartet_file
 
 
-def run(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run(*args):
     return subprocess.run(
         [sys.executable, "-m", "quartets", *args],
         capture_output=True,
         text=True,
-        env=env,
         timeout=120,
     )
 
@@ -154,20 +149,6 @@ class TestEnumerate:
         out = run("enumerate", "--n", "12", "--count-only")
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
-
-    def test_thread_env_is_validated(self):
-        out = run(
-            "enumerate", "--n", "6", "--count-only", env_extra={"QUARTETS_THREADS": "zero"}
-        )
-        assert out.returncode == 2
-        assert out.stderr.startswith("error:")
-
-    def test_thread_env_is_used(self):
-        out = run(
-            "enumerate", "--n", "7", "--count-only", env_extra={"QUARTETS_THREADS": "2"}
-        )
-        assert out.returncode == 0
-        assert out.stdout == "2752\n"
 
 
 class TestInfer:

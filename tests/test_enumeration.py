@@ -1,17 +1,24 @@
-"""Exhaustive tree streams: counts, uniqueness, determinism, partitioning."""
+"""Exhaustive tree streams: counts, uniqueness, determinism, pruning."""
+
+import random
 
 import pytest
 
 import oracles
 from quartets import (
+    QuartetSet,
     TooFewLeavesError,
     TooManyLeavesError,
     count_trees,
     enumerate_trees,
     integer_leaves,
+    minimal_definitive_set,
+    normalized_quartet,
     tree_from_splits,
 )
-from quartets.enumeration import default_jobs, _position_count
+from quartets.decide import _level_quartets
+from quartets.enumeration import _stream_masks
+from quartets.model import _displays_masks
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -64,23 +71,55 @@ def test_stream_is_restartable_and_deterministic():
     assert list(stream) == list(stream)
 
 
+def _assert_pruned_is_filtered(qs, mode, whole):
+    """The pruned stream is the full stream filtered by display, in order."""
+    pairs = [q.pair_masks() for q in qs.sorted_quartets()]
+    expected = [m for m in whole if _displays_masks(m, pairs)]
+    assert list(_stream_masks(qs.leaves.n, mode, _level_quartets(qs))) == expected
+    return len(expected)
+
+
+def _random_quartets(rng, n, whole):
+    """Mostly quartets displayed by one random tree, so displayers survive,
+    plus some arbitrary ones, so conflicts and empty streams occur too."""
+    source = rng.choice(whole)
+    quartets = set()
+    for _ in range(rng.randint(1, n)):
+        a, b, c, d = rng.sample(range(n), 4)
+        options = [normalized_quartet(a, b, c, d)]
+        if rng.random() < 0.7:
+            options += [normalized_quartet(a, c, b, d), normalized_quartet(a, d, b, c)]
+            options = [q for q in options if _displays_masks(source, [q.pair_masks()])]
+        quartets.update(options[:1])
+    return quartets
+
+
 @pytest.mark.parametrize("mode", ["binary", "all"])
-def test_last_leaf_position_partitions_the_stream(mode):
-    ls = integer_leaves(6)
-    whole = list(enumerate_trees(ls, mode))
-    parts = []
-    for pos in range(_position_count(6, mode)):
-        parts.append(list(enumerate_trees(ls, mode, last_position=pos)))
-    merged = [t for part in parts for t in part]
-    assert sorted(merged, key=lambda t: t.split_masks()) == sorted(
-        whole, key=lambda t: t.split_masks()
-    )
-    assert len(merged) == len(whole)
+@pytest.mark.parametrize("n", range(4, 9))
+def test_pruned_stream_is_the_filtered_stream(n, mode):
+    rng = random.Random(100 * n + len(mode))
+    ls = integer_leaves(n)
+    whole = list(_stream_masks(n, mode))
+    survivors = []
+    for _ in range(15):
+        quartets = _random_quartets(rng, n, whole)
+        if quartets:
+            qs = QuartetSet(ls, frozenset(quartets))
+            survivors.append(_assert_pruned_is_filtered(qs, mode, whole))
+    assert any(survivors) and not all(survivors)
 
 
-def test_parallel_count_agrees():
-    assert count_trees(7, "binary", jobs=2) == oracles.binary_tree_count(7)
-    assert count_trees(6, "all", jobs=2) == oracles.all_tree_count(6)
+def test_pruned_stream_on_the_ten_leaf_construction():
+    whole = _stream_masks(10, "binary")
+    assert _assert_pruned_is_filtered(minimal_definitive_set(10), "binary", whole) == 1
+
+
+@pytest.mark.parametrize("mode", ["binary", "all"])
+def test_pruned_stream_on_the_eight_leaf_construction_minus_one(mode):
+    qs = minimal_definitive_set(8)
+    whole = list(_stream_masks(8, mode))
+    for q in qs.sorted_quartets():
+        assert _assert_pruned_is_filtered(qs.without_quartet(q), mode, whole) > 1
 
 
 def test_caps_enforced():
@@ -101,13 +140,3 @@ def test_explicit_cap_overrides_default():
 def test_bad_mode_rejected():
     with pytest.raises(Exception):
         count_trees(5, "ternary")
-
-
-def test_default_jobs_reads_environment(monkeypatch):
-    monkeypatch.delenv("QUARTETS_THREADS", raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv("QUARTETS_THREADS", "3")
-    assert default_jobs() == 3
-    monkeypatch.setenv("QUARTETS_THREADS", "zero")
-    with pytest.raises(Exception):
-        default_jobs()
