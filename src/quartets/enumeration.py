@@ -32,7 +32,7 @@ and the survivors keep their order in the full stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 from .errors import QuartetError, TooFewLeavesError, TooManyLeavesError
 from .model import LeafSet, PhyloTree, integer_leaves
@@ -61,50 +61,28 @@ def _check_size(n: int, mode: str, cap: int | None) -> None:
         )
 
 
-def _children(splits: tuple[int, ...], k: int, all_mode: bool) -> list[tuple[int, ...]]:
-    """All trees obtained by inserting leaf k, in canonical position order."""
-    bitk = 1 << k
-    hi = k - 1  # largest nontrivial side size after insertion
-    pend0 = (1 << k) - 2  # pendant edge of leaf 0, canonical side is everyone else
-    edges = sorted([1 << v for v in range(1, k)] + [pend0] + list(splits))
-    out = []
-    for u in edges:
-        child = []
-        for m in splits:
-            if m == u:
-                continue
-            child.append(m | bitk if u & ~m == 0 else m)
-        if 2 <= u.bit_count() <= hi:
-            child.append(u)
-        w = u | bitk
-        if 2 <= w.bit_count() <= hi:
-            child.append(w)
-        child.sort()
-        out.append(tuple(child))
-    if all_mode:
-        out.append(splits)  # attach beside leaf 0's neighbour, nothing moves
-        for v in splits:
-            out.append(tuple(sorted(m | bitk if v & ~m == 0 else m for m in splits)))
-    return out
-
-
-def _pruned_children(
-    splits: tuple[int, ...], k: int, all_mode: bool, need: list[tuple[int, int]]
+def _children(
+    splits: tuple[int, ...],
+    k: int,
+    all_mode: bool,
+    need: Sequence[tuple[int, int]] = (),
 ) -> list[tuple[int, ...]]:
-    """The children _children would return that display every quartet xy|zk
-    in need, given as (1<<z, xy mask), in the same order.
+    """The trees obtained by inserting leaf k, in canonical position order,
+    keeping only those that display every quartet xy|zk in need, given as
+    (1<<z, xy mask).
 
     Positions are filtered first and only the admissible ones are built.
     """
     bitk = 1 << k
     full = bitk - 1
-    hi = k - 1
+    hi = k - 1  # largest nontrivial side size after insertion
+    # full - 1 is leaf 0's pendant edge, canonical side is everyone else
     edges = sorted([1 << v for v in range(1, k)] + [full - 1] + list(splits))
-    vertices = list(splits) if all_mode else []
+    vertices = splits if all_mode else ()
     root = all_mode
     for z, xy in need:
         # S*: z's pendant side plus every split side holding z but not x, y;
-        # every other pendant edge has x and y on its z-side
+        # every other pendant edge has x or y on its z-side
         star = z
         for m in splits:
             side = m if m & z else full ^ m
@@ -138,7 +116,7 @@ def _pruned_children(
         child.sort()
         children.append(tuple(child))
     if root:
-        children.append(splits)
+        children.append(splits)  # attach beside leaf 0's neighbour, nothing moves
     for v in vertices:
         children.append(tuple(sorted(m | bitk if v & ~m == 0 else m for m in splits)))
     return children
@@ -174,11 +152,8 @@ def _stream_masks(
     stack: list[tuple[tuple[int, ...], int]] = [((), 3)]
     while stack:
         splits, k = stack.pop()
-        need = level_quartets.get(k) if level_quartets else None
-        if need:
-            children = _pruned_children(splits, k, all_mode, need)
-        else:
-            children = _children(splits, k, all_mode)
+        need = level_quartets.get(k, ()) if level_quartets else ()
+        children = _children(splits, k, all_mode, need)
         if k == n - 1:
             yield from children
         else:
