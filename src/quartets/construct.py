@@ -57,10 +57,8 @@ def caterpillar_from_order(order) -> PhyloTree:
         for lab in labels[:j]:
             m |= 1 << leaves.index(lab)
         masks.append(m)
-    zero = 1 << 0
     full = leaves.full_mask()
-    canon = tuple(sorted((full & ~m) if (m & zero) else m for m in masks))
-    return PhyloTree._from_masks(leaves, canon)
+    return PhyloTree(leaves, [(full & ~m) if m & 1 else m for m in masks])
 
 
 def caterpillar(n: int) -> PhyloTree:
@@ -223,9 +221,9 @@ def verify_construction(
 
     Per level: the size is 2n-8, the target displays the set, fast mode
     finds the set definitive with the target as the unique tree, the set
-    is minimal, the size meets the n-3 lower bound, the witness chain
-    validates (n >= 6), and up to oracle_max_n the exhaustive oracle
-    agrees.
+    is minimal, the witness chain validates (n >= 6), and up to
+    oracle_max_n the exhaustive oracle agrees. cap applies to the fast
+    and the oracle checks alike.
     """
     if max_n < 5:
         raise TooFewLeavesError("verification starts at five leaves")
@@ -238,13 +236,12 @@ def verify_construction(
         checks.append(
             ("displays_target", all(displays(target, q) for q in qs))
         )
-        fast = defines(qs, mode="fast")
+        report = minimality_report(qs, mode="fast", cap=cap)
+        fast = report.verdict
         checks.append(
             ("fast_defines_target", fast.is_definitive and fast.tree == target)
         )
-        report = minimality_report(qs, mode="fast")
         checks.append(("minimal", report.minimal is True))
-        checks.append(("lower_bound", len(qs) >= n - 3))
         if n >= 6:
             try:
                 witness_chain(n)

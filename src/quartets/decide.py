@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Literal
 
 from .enumeration import _check_mode, _check_size, _stream_masks, Mode
@@ -95,12 +96,6 @@ class MinimalityReport:
     n: int
     lower_bound_ok: bool | None
 
-    def witness_for(self, q: Quartet) -> RemovalWitness | None:
-        for quartet, w in self.entries:
-            if quartet == q:
-                return w
-        return None
-
 
 def _level_quartets(qs: QuartetSet) -> dict[int, list[tuple[int, int]]]:
     """Each quartet xy|zk as (1<<z, xy mask), grouped by its largest leaf k."""
@@ -132,18 +127,16 @@ def displayers(
     """Every tree on the ambient leaves displaying all of qs, in stream order.
 
     leaves defaults to the quartet set's own ambient leaf set and may be
-    any superset of the leaves actually mentioned. limit truncates the
-    result once that many displayers are found.
+    any superset of the leaves actually mentioned. limit, when given,
+    must be at least 0 and truncates the result to that many displayers.
     """
     _check_mode(mode)
+    if limit is not None and limit < 0:
+        raise QuartetError(f"limit must be at least 0, got {limit}")
     ambient = leaves if leaves is not None else qs.leaves
     moved = qs.translate(ambient)
-    out: list[PhyloTree] = []
-    for masks in _pruned_displayers(moved, mode, cap):
-        out.append(PhyloTree._from_masks(ambient, masks))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    stream = _pruned_displayers(moved, mode, cap)
+    return [PhyloTree(ambient, masks) for masks in islice(stream, limit)]
 
 
 def _resolve_ambient(
@@ -199,7 +192,7 @@ def defines(
                 count += 1
                 if len(kept) < 2:
                     kept.append(masks)
-        examples = tuple(PhyloTree._from_masks(ambient, m) for m in kept)
+        examples = tuple(PhyloTree(ambient, m) for m in kept)
         if count == 0:
             return DefinitivenessVerdict(INCOMPATIBLE, None, 0, (), mode)
         if count == 1:
@@ -215,9 +208,9 @@ def defines(
         # displayer to a binary tree preserves every displayed quartet
         return DefinitivenessVerdict(INCOMPATIBLE, None, 0, (), mode)
     if len(found) == 2:
-        examples = tuple(PhyloTree._from_masks(ambient, m) for m in found)
+        examples = tuple(PhyloTree(ambient, m) for m in found)
         return DefinitivenessVerdict(NOT_DEFINITIVE, None, None, examples, mode)
-    tree = PhyloTree._from_masks(ambient, found[0])
+    tree = PhyloTree(ambient, found[0])
     undistinguished = _undistinguished_masks(moved, tree)
     if undistinguished:
         loose = Split(min(undistinguished), n)
@@ -228,7 +221,7 @@ def defines(
 
 
 def _undistinguished_masks(qs: QuartetSet, tree: PhyloTree) -> list[int]:
-    masks = tree.split_masks()
+    masks = tree.masks
     pinned = set()
     for q in qs.sorted_quartets():
         p1, p2 = q.pair_masks()
@@ -266,7 +259,7 @@ def minimality_report(
     tree = verdict.tree
     ambient = tree.leaves
     moved = qs.translate(ambient)
-    tree_masks = tree.split_masks()
+    tree_masks = tree.masks
     entries = []
     redundant = False
     for q in moved.sorted_quartets():
@@ -284,7 +277,7 @@ def minimality_report(
                 break
         if alternative is not None:
             entries.append(
-                (q, RemovalWitness("alternative_tree", tree=PhyloTree._from_masks(ambient, alternative)))
+                (q, RemovalWitness("alternative_tree", tree=PhyloTree(ambient, alternative)))
             )
         else:
             entries.append((q, RemovalWitness("redundant")))
@@ -384,7 +377,7 @@ def common_leaf_certificate(qs: QuartetSet, tree: PhyloTree) -> bool:
         pairs.append(q.pair_masks())
     if not common:
         return False
-    masks = tree.split_masks()
+    masks = tree.masks
     if not _displays_masks(masks, pairs):
         return False
     return not _undistinguished_masks(moved, tree)

@@ -180,7 +180,7 @@ class TreeStream:
     def __iter__(self) -> Iterator[PhyloTree]:
         leaves = self.leaves
         for masks in _stream_masks(leaves.n, self.mode):
-            yield PhyloTree._from_masks(leaves, masks)
+            yield PhyloTree(leaves, masks)
 
 
 def enumerate_trees(

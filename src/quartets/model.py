@@ -1,16 +1,17 @@
 """Core value types: leaf sets, splits, quartets, trees.
 
-An unrooted phylogenetic tree on a leaf set L is represented by the set of
-its nontrivial splits (the bipartitions of L induced by interior edges).
+An unrooted phylogenetic tree on a leaf set L is represented by its
+nontrivial splits (the bipartitions of L induced by interior edges).
 That representation is canonical: two trees are equal exactly when their
 split sets are equal, and any pairwise compatible set of distinct
 nontrivial splits is realised by exactly one tree with no degree-2
 vertices.
 
-Splits are stored as machine-word bit sets over dense leaf indices
-0..n-1, always holding the side that does NOT contain index 0. For two
-such canonical masks, compatibility reduces to "disjoint or nested",
-which keeps the hot checks to a couple of integer operations.
+Splits are machine-word bit sets over dense leaf indices 0..n-1, always
+holding the side that does NOT contain index 0. For two such canonical
+masks, compatibility reduces to "disjoint or nested", which keeps the
+hot checks to a couple of integer operations. A tree holds its masks as
+one sorted tuple of ints; Split objects are built only on request.
 """
 
 from __future__ import annotations
@@ -146,10 +147,6 @@ class Split:
         size = self.mask.bit_count()
         return size >= 2 and self.n - size >= 2
 
-    def side_sizes(self) -> tuple[int, int]:
-        size = self.mask.bit_count()
-        return (self.n - size, size)
-
     def sides(self, leaves: LeafSet) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Label tuples (side containing the smallest leaf, other side)."""
         if leaves.n != self.n:
@@ -232,57 +229,57 @@ def make_quartet(leaves: LeafSet, a: Label, b: Label, c: Label, d: Label) -> Qua
 class PhyloTree:
     """Unrooted phylogenetic tree as a leaf set plus its nontrivial splits.
 
-    Equality and hashing are by (leaves, splits). The tree is binary
-    exactly when it has n - 3 splits. Construction through
-    tree_from_splits validates pairwise compatibility; enumeration code
-    uses the trusted _from_masks path because its outputs are compatible
-    by construction.
+    masks is the sorted tuple of the tree's distinct canonical split masks
+    and the tree's only representation, so equality and hashing are by
+    (leaves, masks). The tree is binary exactly when it has n - 3 splits.
+    The constructor takes the masks in any order, checks each one on its
+    own (in range, without leaf index 0, nontrivial) and stores them
+    sorted; tree_from_splits also checks pairwise compatibility.
     """
 
     leaves: LeafSet
-    splits: frozenset[Split]
-    _masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    masks: tuple[int, ...]
 
     def __post_init__(self):
         n = self.leaves.n
-        for s in self.splits:
-            if s.n != n:
-                raise UnknownLeafError("split indexed against a different leaf set")
-            if not s.is_nontrivial():
-                raise TrivialSplitError(f"trivial split mask {s.mask:#x}")
-        object.__setattr__(self, "_masks", tuple(sorted(s.mask for s in self.splits)))
-
-    @classmethod
-    def _from_masks(cls, leaves: LeafSet, masks: Iterable[int]) -> "PhyloTree":
-        return cls(leaves, frozenset(Split(m, leaves.n) for m in masks))
+        masks = tuple(sorted(set(self.masks)))
+        for m in masks:
+            if not 0 < m < 1 << n:
+                raise UnknownLeafError(f"split mask {m:#x} out of range for {n} leaves")
+            if m & 1:
+                raise QuartetError("split mask must not contain leaf index 0")
+            size = m.bit_count()
+            if size < 2 or n - size < 2:
+                raise TrivialSplitError(f"trivial split mask {m:#x}")
+        object.__setattr__(self, "masks", masks)
 
     @property
     def n(self) -> int:
         return self.leaves.n
 
+    @property
+    def splits(self) -> frozenset[Split]:
+        return frozenset(Split(m, self.leaves.n) for m in self.masks)
+
     def is_binary(self) -> bool:
-        return len(self.splits) == self.n - 3
-
-    def split_masks(self) -> tuple[int, ...]:
-        return self._masks
-
-    def has_split(self, s: Split) -> bool:
-        return s.n == self.leaves.n and s.mask in set(self._masks)
+        return len(self.masks) == self.n - 3
 
 
 def tree_from_splits(leaves: LeafSet, splits: Iterable[Split]) -> PhyloTree:
-    """Validated tree construction: nontrivial, distinct, pairwise compatible."""
-    split_set = frozenset(splits)
-    ordered = sorted(split_set, key=lambda s: s.mask)
+    """Validated tree construction: same leaf set, nontrivial, pairwise compatible."""
+    ordered = sorted(frozenset(splits), key=lambda s: s.mask)
+    for s in ordered:
+        if s.n != leaves.n:
+            raise UnknownLeafError("split indexed against a different leaf set")
     for i, s in enumerate(ordered):
         for t in ordered[i + 1 :]:
-            if s.n == t.n and not _masks_compatible(s.mask, t.mask):
+            if not _masks_compatible(s.mask, t.mask):
                 raise IncompatibleSplitsError(
                     f"incompatible splits "
                     f"{s.text(leaves)} and {t.text(leaves)}",
                     pair=(s, t),
                 )
-    return PhyloTree(leaves, split_set)
+    return PhyloTree(leaves, tuple(s.mask for s in ordered))
 
 
 def _check_quartet_indices(tree: PhyloTree, q: Quartet) -> None:
@@ -328,7 +325,7 @@ def displays(tree: PhyloTree, q: Quartet) -> bool:
     ab|cd. The star induced topology displays nothing.
     """
     _check_quartet_indices(tree, q)
-    return _displays_masks(tree._masks, (q.pair_masks(),))
+    return _displays_masks(tree.masks, (q.pair_masks(),))
 
 
 def distinguished_edge(tree: PhyloTree, q: Quartet) -> Split | None:
@@ -338,7 +335,7 @@ def distinguished_edge(tree: PhyloTree, q: Quartet) -> Split | None:
     and more than one (q displayed but pinning down no single edge).
     """
     _check_quartet_indices(tree, q)
-    found = _unique_separator(tree._masks, *q.pair_masks())
+    found = _unique_separator(tree.masks, *q.pair_masks())
     return None if found is None else Split(found, tree.n)
 
 
@@ -408,9 +405,6 @@ class QuartetSet:
         )
         return QuartetSet(other, moved)
 
-    def with_quartet(self, q: Quartet) -> "QuartetSet":
-        return QuartetSet(self.leaves, self.quartets | {q})
-
     def without_quartet(self, q: Quartet) -> "QuartetSet":
         return QuartetSet(self.leaves, self.quartets - {q})
 
@@ -462,9 +456,9 @@ def relabel(x, mapping: Mapping, *, leaves: LeafSet | None = None):
         new_leaves = _map_leafset(x.leaves, m)
         masks = [
             _mask_from_labels(new_leaves, (m[l] for l in _side_labels(x.leaves, s)))
-            for s in x.split_masks()
+            for s in x.masks
         ]
-        return PhyloTree._from_masks(new_leaves, masks)
+        return PhyloTree(new_leaves, masks)
     if isinstance(x, QuartetSet):
         new_leaves = _map_leafset(x.leaves, m)
         ls = x.leaves.labels
@@ -523,14 +517,14 @@ def cherry_replace(tree: PhyloTree, x: Label, y: Label) -> PhyloTree:
         raise LabelCollisionError(f"leaf {yl!r} already present")
     new_leaves = LeafSet.from_labels(tree.leaves.labels + (yl,))
     masks = []
-    for s in tree.split_masks():
+    for s in tree.masks:
         side = _side_labels(tree.leaves, s)
         if xl in side:
             side.append(yl)
         masks.append(_mask_from_labels(new_leaves, side))
     if new_leaves.n >= 4:
         masks.append(_mask_from_labels(new_leaves, [xl, yl]))
-    return PhyloTree._from_masks(new_leaves, masks)
+    return PhyloTree(new_leaves, masks)
 
 
 def remove_leaf(tree: PhyloTree, x: Label) -> PhyloTree:
@@ -541,17 +535,15 @@ def remove_leaf(tree: PhyloTree, x: Label) -> PhyloTree:
     rest = [l for l in tree.leaves.labels if l != xl]
     new_leaves = LeafSet.from_labels(rest)
     masks = set()
-    for s in tree.split_masks():
+    for s in tree.masks:
         side = [l for l in _side_labels(tree.leaves, s) if l != xl]
         if 2 <= len(side) <= new_leaves.n - 2:
             masks.add(_mask_from_labels(new_leaves, side))
-    return PhyloTree._from_masks(new_leaves, masks)
+    return PhyloTree(new_leaves, masks)
 
 
 def contract(tree: PhyloTree, edge: Split) -> PhyloTree:
     """Remove one interior edge, merging its endpoints."""
-    if edge.n != tree.n or edge.mask not in set(tree.split_masks()):
+    if edge.n != tree.n or edge.mask not in tree.masks:
         raise NoSuchSplitError("edge is not an interior edge of this tree")
-    return PhyloTree._from_masks(
-        tree.leaves, (m for m in tree.split_masks() if m != edge.mask)
-    )
+    return PhyloTree(tree.leaves, tuple(m for m in tree.masks if m != edge.mask))

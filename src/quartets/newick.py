@@ -93,7 +93,7 @@ def parse_newick(text: str) -> PhyloTree:
     leaves = LeafSet.from_labels(labels)
     n = leaves.n
     full = leaves.full_mask()
-    masks = set()
+    masks = []
     for cluster in clusters:
         m = 0
         i = 0
@@ -107,9 +107,9 @@ def parse_newick(text: str) -> PhyloTree:
             continue
         if m & 1:
             m = full & ~m
-        masks.add(m)
+        masks.append(m)
     # clusters of a nesting are laminar, so the splits are compatible
-    return PhyloTree._from_masks(leaves, tuple(sorted(masks)))
+    return PhyloTree(leaves, masks)
 
 
 def serialize_newick(tree: PhyloTree) -> str:
@@ -121,7 +121,7 @@ def serialize_newick(tree: PhyloTree) -> str:
     for label in leaves.labels:
         if any(ch in _RESERVED or ch.isspace() for ch in label):
             raise QuartetError(f"label {label!r} cannot be written in this format")
-    masks = sorted(tree.split_masks(), key=lambda m: (m.bit_count(), m))
+    masks = sorted(tree.masks, key=lambda m: (m.bit_count(), m))
     parent: dict[int, int] = {}
     for i, m in enumerate(masks):
         for p in masks[i + 1 :]:

@@ -121,7 +121,7 @@ def run_search(
                 break
             if verdict.status == NOT_DEFINITIVE and len(verdict.examples) == 2:
                 first, second = verdict.examples
-                gap = sorted(set(first.split_masks()) - set(second.split_masks()))
+                gap = sorted(set(first.masks) - set(second.masks))
                 if gap:
                     edge = rng.choice(gap)
                     q = _pick_separator(rng, n, edge, second)

@@ -4,6 +4,7 @@ import pytest
 
 from quartets import (
     TooFewLeavesError,
+    TooManyLeavesError,
     WitnessChain,
     caterpillar,
     caterpillar_from_order,
@@ -218,11 +219,14 @@ class TestVerifyConstruction:
             "displays_target",
             "fast_defines_target",
             "minimal",
-            "lower_bound",
             "witness_chain",
             "oracle_defines_target",
-        } <= set(names)
+        } == set(names)
         assert all(names.values())
+
+    def test_cap_reaches_the_fast_checks(self):
+        with pytest.raises(TooManyLeavesError):
+            verify_construction(9, oracle_max_n=5, cap=8)
 
     def test_too_small(self):
         with pytest.raises(TooFewLeavesError):

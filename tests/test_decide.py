@@ -8,6 +8,7 @@ from quartets import (
     AmbientMismatchError,
     INCOMPATIBLE,
     NOT_DEFINITIVE,
+    QuartetError,
     QuartetSet,
     caterpillar,
     caterpillar_from_order,
@@ -57,6 +58,14 @@ class TestDisplayers:
     def test_limit_truncates_in_stream_order(self, q6):
         first_two = displayers(q6, mode="binary", limit=2)
         assert len(first_two) == 1  # the set is definitive, one binary displayer
+        everything = displayers(q6, leaves=integer_leaves(7), mode="all")
+        for limit in (0, 1, 3):
+            found = displayers(q6, leaves=integer_leaves(7), mode="all", limit=limit)
+            assert found == everything[:limit]
+
+    def test_negative_limit_rejected(self, q6):
+        with pytest.raises(QuartetError):
+            displayers(q6, limit=-1)
 
     def test_ambient_beyond_support(self, q6):
         bigger = displayers(q6, leaves=integer_leaves(7), mode="binary", limit=3)

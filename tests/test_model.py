@@ -171,7 +171,26 @@ class TestTreeConstruction:
     def test_trivial_split_rejected(self):
         ls = integer_leaves(5)
         with pytest.raises(TrivialSplitError):
-            PhyloTree(ls, frozenset({Split.from_side(ls, ["5"])}))
+            PhyloTree(ls, (Split.from_side(ls, ["5"]).mask,))
+
+    def test_mask_holding_leaf_zero_rejected(self):
+        ls = integer_leaves(5)
+        with pytest.raises(QuartetError):
+            PhyloTree(ls, (0b00011,))  # the side holding "1" is not canonical
+
+    @pytest.mark.parametrize("mask", [0, 1 << 5, 0b100110])
+    def test_mask_out_of_range_rejected(self, mask):
+        with pytest.raises(UnknownLeafError):
+            PhyloTree(integer_leaves(5), (mask,))
+
+    def test_masks_stored_sorted_and_distinct(self, leaves6, t6):
+        shuffled = tuple(reversed(t6.masks)) + t6.masks
+        assert PhyloTree(leaves6, shuffled).masks == t6.masks == tuple(sorted(t6.masks))
+
+    def test_split_from_other_leaf_set_rejected(self):
+        ls5 = integer_leaves(5)
+        with pytest.raises(UnknownLeafError):
+            tree_from_splits(ls5, [Split.from_side(integer_leaves(6), ["1", "2"])])
 
     def test_equality_ignores_split_order(self, leaves6, t6):
         shuffled = sorted(t6.splits, key=lambda s: -s.mask)
