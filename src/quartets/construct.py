@@ -114,13 +114,13 @@ class WitnessChain:
 
 
 def _loose_edge_witness(
-    rest: list[Quartet], leaves: LeafSet, tree: PhyloTree
+    level: int, rest: list[Quartet], leaves: LeafSet, tree: PhyloTree
 ) -> PhyloTree:
     qs = QuartetSet(leaves, frozenset(rest))
     loose = _undistinguished_masks(qs, tree)
     if not loose:
         raise WitnessCheckError(
-            "expected an edge pinned only by the removed quartet"
+            "expected an edge pinned only by the removed quartet", level
         )
     return contract(tree, Split(min(loose), tree.n))
 
@@ -134,16 +134,16 @@ def _validate_level(
     for i, q in enumerate(seq, start=1):
         w = witnesses[i]
         if w.leaves != target.leaves:
-            raise WitnessCheckError(f"level {level} witness {i}: wrong leaf set")
+            raise WitnessCheckError(f"witness {i}: wrong leaf set", level)
         if w == target:
             raise WitnessCheckError(
-                f"level {level} witness {i}: coincides with the target tree"
+                f"witness {i}: coincides with the target tree", level
             )
         for other in seq:
             if other != q and not displays(w, other):
                 raise WitnessCheckError(
-                    f"level {level} witness {i}: fails to display "
-                    f"{other.text(target.leaves)}"
+                    f"witness {i}: fails to display {other.text(target.leaves)}",
+                    level,
                 )
 
 
@@ -152,7 +152,8 @@ def witness_chain(k: int) -> WitnessChain:
 
     Witness i displays the whole level sequence except its i-th quartet
     and is not the target caterpillar, so removing any quartet breaks
-    definitiveness.
+    definitiveness. A WitnessCheckError carries the level that failed;
+    every level below it validated.
     """
     if k < 6:
         raise TooFewLeavesError("the witness chain starts at six leaves")
@@ -162,7 +163,7 @@ def witness_chain(k: int) -> WitnessChain:
     witnesses: dict[int, PhyloTree] = {}
     for i in (1, 2, 4):
         rest = [q for j, q in enumerate(seq, start=1) if j != i]
-        witnesses[i] = _loose_edge_witness(rest, leaves, target)
+        witnesses[i] = _loose_edge_witness(6, rest, leaves, target)
     witnesses[3] = caterpillar_from_order([2, 4, 6, 1, 5, 3])
     _validate_level(6, seq, witnesses, target)
     for level in range(7, k + 1):
@@ -176,7 +177,7 @@ def witness_chain(k: int) -> WitnessChain:
             witnesses[i] = cherry_replace(prev[i], level - 1, level)
         witnesses[size - 1] = reverse(witnesses[3])
         rest = list(seq[:-1])
-        witnesses[size] = _loose_edge_witness(rest, leaves, target)
+        witnesses[size] = _loose_edge_witness(level, rest, leaves, target)
         _validate_level(level, seq, witnesses, target)
     return WitnessChain(k, tuple(sorted(witnesses.items())))
 
@@ -223,10 +224,17 @@ def verify_construction(
     finds the set definitive with the target as the unique tree, the set
     is minimal, the witness chain validates (n >= 6), and up to
     oracle_max_n the exhaustive oracle agrees. cap applies to the fast
-    and the oracle checks alike.
+    and the oracle checks alike. The chain is built once, up to max_n:
+    a failure at one level fails that level and every level above it.
     """
     if max_n < 5:
         raise TooFewLeavesError("verification starts at five leaves")
+    chain_fails_from = max_n + 1
+    if max_n >= 6:
+        try:
+            witness_chain(max_n)
+        except WitnessCheckError as e:
+            chain_fails_from = e.level
     levels = []
     for n in range(5, max_n + 1):
         qs = minimal_definitive_set(n)
@@ -243,11 +251,7 @@ def verify_construction(
         )
         checks.append(("minimal", report.minimal is True))
         if n >= 6:
-            try:
-                witness_chain(n)
-                checks.append(("witness_chain", True))
-            except WitnessCheckError:
-                checks.append(("witness_chain", False))
+            checks.append(("witness_chain", n < chain_fails_from))
         if n <= oracle_max_n:
             oracle = defines(qs, mode="oracle", cap=cap)
             checks.append(

@@ -116,6 +116,14 @@ def _pruned_displayers(
     return _stream_masks(n, mode, _level_quartets(qs))
 
 
+def _oracle_displayers(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
+    """Every tree on qs's leaves displaying all of qs, from the unpruned walk."""
+    n = qs.leaves.n
+    _check_size(n, "all", cap)
+    pairs = [q.pair_masks() for q in qs.sorted_quartets()]
+    return (m for m in _stream_masks(n, "all") if _displays_masks(m, pairs))
+
+
 def displayers(
     qs: QuartetSet,
     leaves: LeafSet | None = None,
@@ -183,15 +191,9 @@ def defines(
     moved, ambient = _resolve_ambient(qs, leaves, allow_larger_ambient)
     n = ambient.n
     if mode == "oracle":
-        _check_size(n, "all", cap)
-        pairs = [q.pair_masks() for q in moved.sorted_quartets()]
-        count = 0
-        kept: list[tuple[int, ...]] = []
-        for masks in _stream_masks(n, "all"):
-            if _displays_masks(masks, pairs):
-                count += 1
-                if len(kept) < 2:
-                    kept.append(masks)
+        stream = _oracle_displayers(moved, cap)
+        kept = list(islice(stream, 2))
+        count = len(kept) + sum(1 for _ in stream)
         examples = tuple(PhyloTree(ambient, m) for m in kept)
         if count == 0:
             return DefinitivenessVerdict(INCOMPATIBLE, None, 0, (), mode)
@@ -287,13 +289,6 @@ def minimality_report(
     )
 
 
-def _translate_quartet(q: Quartet, source: LeafSet, target: LeafSet) -> Quartet:
-    if source == target:
-        return q
-    ls = source.labels
-    return normalized_quartet(*(target.index(ls[i]) for i in q.indices()))
-
-
 def semantic_infers(
     qs: QuartetSet,
     q: Quartet,
@@ -309,14 +304,11 @@ def semantic_infers(
     """
     ambient = leaves if leaves is not None else qs.leaves
     moved = qs.translate(ambient)
-    target = _translate_quartet(q, qs.leaves, ambient)
-    _check_size(ambient.n, "all", cap)
-    pairs = [x.pair_masks() for x in moved.sorted_quartets()]
-    p1, p2 = target.pair_masks()
-    for masks in _stream_masks(ambient.n, "all"):
-        if _displays_masks(masks, pairs) and not _displays_masks(masks, [(p1, p2)]):
-            return False
-    return True
+    (target,) = QuartetSet(qs.leaves, frozenset([q])).translate(ambient)
+    query = [target.pair_masks()]
+    return all(
+        _displays_masks(masks, query) for masks in _oracle_displayers(moved, cap)
+    )
 
 
 def inference_closure(qs: QuartetSet) -> QuartetSet:

@@ -58,7 +58,14 @@ class AmbientMismatchError(QuartetError):
 
 
 class WitnessCheckError(QuartetError):
-    """An internally constructed witness failed its validity check (a bug)."""
+    """An internally constructed witness failed its validity check (a bug).
+
+    .level is the leaf count of the witness chain level that failed.
+    """
+
+    def __init__(self, message: str, level: int):
+        super().__init__(f"{message} at level {level}")
+        self.level = level
 
 
 class ParseError(QuartetError):

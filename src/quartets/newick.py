@@ -1,12 +1,16 @@
 """Newick text for the unrooted trees this package works with.
 
-Reading takes the usual rooted nesting, ignores branch lengths, rejects
-interior labels, and keeps only the leaf clusters; degree-2 vertices
-(including a degree-2 root) vanish on their own because equal clusters
-collapse into one split. Writing roots the tree at the interior vertex
-next to the smallest leaf and orders children by their smallest
-descendant, so every tree has exactly one rendering and reading it back
-returns the identical value.
+Reading takes the usual rooted nesting, ignores branch lengths (each must
+still read as a number), rejects interior labels, and keeps only the leaf
+clusters; degree-2 vertices (including a degree-2 root) vanish on their
+own because equal clusters collapse into one split.
+
+Writing roots the tree at the vertex next to leaf 0. The split masks,
+each the side without leaf 0, nest as the clusters below that root, and
+one descent over them writes children in order of their smallest leaf,
+so every tree has exactly one rendering and reading it back returns the
+identical value. The masks must be pairwise compatible, which
+tree_from_splits checks and every tree built in this package satisfies.
 """
 
 from __future__ import annotations
@@ -45,8 +49,12 @@ def parse_newick(text: str) -> PhyloTree:
             start = pos
             while pos < end and text[pos] in _LENGTH_CHARS:
                 pos += 1
-            if pos == start:
-                raise ParseError("expected a branch length after ':'", position=pos)
+            try:
+                float(text[start:pos])
+            except ValueError:
+                raise ParseError(
+                    "expected a numeric branch length after ':'", position=start
+                ) from None
 
     def parse_subtree() -> int:
         nonlocal pos
@@ -121,40 +129,23 @@ def serialize_newick(tree: PhyloTree) -> str:
     for label in leaves.labels:
         if any(ch in _RESERVED or ch.isspace() for ch in label):
             raise QuartetError(f"label {label!r} cannot be written in this format")
-    masks = sorted(tree.masks, key=lambda m: (m.bit_count(), m))
-    parent: dict[int, int] = {}
-    for i, m in enumerate(masks):
-        for p in masks[i + 1 :]:
-            if m != p and m & ~p == 0:
-                parent[m] = p
-                break
-    children: dict[int, list[int]] = {m: [] for m in masks}
-    top = []
-    for m in masks:
-        if m in parent:
-            children[parent[m]].append(m)
-        else:
-            top.append(m)
-    leaf_home: dict[int, int] = {}
-    for v in range(1, n):
-        for m in masks:  # popcount order, so the first hit is the tightest
-            if (m >> v) & 1:
-                leaf_home[v] = m
-                break
+    # largest first, so the first split found inside a cluster that holds
+    # a given leaf is the child of that cluster on the leaf's side
+    order = sorted(tree.masks, key=int.bit_count, reverse=True)
 
-    def low_bit(m: int) -> int:
-        return (m & -m).bit_length() - 1
+    def render(cluster: int) -> str:
+        parts = []
+        rest = cluster
+        while rest:
+            low = rest & -rest
+            for m in order:
+                if m & low and m != cluster and m & ~cluster == 0:
+                    parts.append(render(m))
+                    rest &= ~m
+                    break
+            else:
+                parts.append(leaves.labels[low.bit_length() - 1])
+                rest ^= low
+        return "(" + ",".join(parts) + ")"
 
-    def render(m: int) -> str:
-        parts = [(v, leaves.labels[v]) for v in range(1, n) if leaf_home.get(v) == m]
-        parts.extend((low_bit(c), render(c)) for c in children[m])
-        parts.sort(key=lambda item: item[0])
-        return "(" + ",".join(s for _, s in parts) + ")"
-
-    parts = [(0, leaves.labels[0])]
-    parts.extend(
-        (v, leaves.labels[v]) for v in range(1, n) if v not in leaf_home
-    )
-    parts.extend((low_bit(m), render(m)) for m in top)
-    parts.sort(key=lambda item: item[0])
-    return "(" + ",".join(s for _, s in parts) + ");"
+    return render(leaves.full_mask()) + ";"

@@ -6,6 +6,7 @@ from quartets import (
     TooFewLeavesError,
     TooManyLeavesError,
     WitnessChain,
+    WitnessCheckError,
     caterpillar,
     caterpillar_from_order,
     defines,
@@ -21,6 +22,7 @@ from quartets import (
     verify_construction,
     witness_chain,
 )
+from quartets import construct
 
 
 def texts(n):
@@ -193,6 +195,13 @@ class TestWitnessChain:
             for other in qs.without_quartet(q):
                 assert displays(alt, other)
 
+    def test_loose_edge_failure_names_its_level(self, monkeypatch):
+        # with every edge pinned there is no loose edge to contract
+        monkeypatch.setattr(construct, "_undistinguished_masks", lambda qs, tree: [])
+        with pytest.raises(WitnessCheckError) as info:
+            witness_chain(7)
+        assert info.value.level == 6
+
     def test_too_few(self):
         with pytest.raises(TooFewLeavesError):
             witness_chain(5)
@@ -227,6 +236,33 @@ class TestVerifyConstruction:
     def test_cap_reaches_the_fast_checks(self):
         with pytest.raises(TooManyLeavesError):
             verify_construction(9, oracle_max_n=5, cap=8)
+
+    def test_witness_chain_is_walked_once(self, monkeypatch):
+        calls = []
+        real = construct.witness_chain
+
+        def counting(k):
+            calls.append(k)
+            return real(k)
+
+        monkeypatch.setattr(construct, "witness_chain", counting)
+        assert verify_construction(9, oracle_max_n=5).all_ok
+        assert calls == [9]
+
+    def test_witness_failure_fails_its_level_and_those_above(self, monkeypatch):
+        real = construct._validate_level
+
+        def failing_at_8(level, *args):
+            if level == 8:
+                raise WitnessCheckError("planted failure", level)
+            return real(level, *args)
+
+        monkeypatch.setattr(construct, "_validate_level", failing_at_8)
+        report = verify_construction(10, oracle_max_n=5)
+        checks = {lv.n: dict(lv.checks) for lv in report.levels}
+        chain = {n: c.pop("witness_chain") for n, c in checks.items() if n >= 6}
+        assert chain == {6: True, 7: True, 8: False, 9: False, 10: False}
+        assert all(all(c.values()) for c in checks.values())
 
     def test_too_small(self):
         with pytest.raises(TooFewLeavesError):

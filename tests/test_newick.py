@@ -1,5 +1,7 @@
 """Newick reading and writing; writing is canonical, reading is liberal."""
 
+import hashlib
+
 import pytest
 
 from quartets import (
@@ -43,6 +45,21 @@ class TestSerialize:
         ]
         t = tree_from_splits(ls, splits)
         assert serialize_newick(t) == "(1,2,(3,4),(5,6));"
+
+    def test_nested_multifurcations_on_letter_labels(self):
+        # index order (alphabetical) differs from the order the labels are given
+        ls = LeafSet.from_labels(["emu", "gnu", "fox", "dog", "cat", "bat", "hen", "anole"])
+        splits = [
+            Split.from_side(ls, ["gnu", "fox", "dog", "cat", "bat"]),
+            Split.from_side(ls, ["fox", "dog", "cat"]),
+        ]
+        t = tree_from_splits(ls, splits)
+        assert serialize_newick(t) == "(anole,(bat,(cat,dog,fox),gnu),emu,hen);"
+
+    def test_every_tree_on_seven_leaves_is_pinned(self):
+        text = "".join(serialize_newick(t) + "\n" for t in enumerate_trees(7, "all"))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "61b73709ff303a2337ba29e20b94167fcde84cbcaa4c5f8ddef7fa1784f98cda"
 
     def test_too_small(self):
         ls = LeafSet.from_labels(["1", "2"])
@@ -102,6 +119,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_newick("(1,2,(3,4):);")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("(1,2,(3,4):--);", 11), ("(1,2,(3,4):1.2.3);", 11), ("(1:e,2,(3,4));", 3)],
+    )
+    def test_branch_length_must_be_a_number(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_newick(text)
+        assert info.value.position == position
+
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
             parse_newick("(1,2,(3,4))")
@@ -113,7 +139,7 @@ class TestParse:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
     @pytest.mark.parametrize("mode", ["binary", "all"])
     def test_every_small_tree_survives(self, n, mode):
         for tree in enumerate_trees(n, mode):
