@@ -2,10 +2,19 @@
 
 A quartet set Q is definitive (relative to the leaves it mentions) when
 exactly one phylogenetic tree on those leaves displays every quartet of
-Q. Two decision routes are provided and must agree:
+Q. Two decision routes are provided and must agree. Both rest on one
+fact, the restriction property of displayed quartets: deleting the
+highest leaf of a tree gives back the tree it was grown from, and
+inserting later leaves never changes the topology induced on leaves
+already present. So a tree displays xy|zk exactly when its ancestor at
+the level of its largest leaf k does, and a quartet's status is settled
+once its last leaf is in.
 
-* oracle mode walks the complete unpruned stream of trees with no
-  degree-2 vertices, counting displayers. It is the ground truth and is
+* oracle mode grows every tree with no degree-2 vertices by leaf
+  insertion, building every child of every surviving tree, and tests
+  each child only against the quartets whose largest leaf it has just
+  inserted; a child that fails is dropped with its whole subtree. What
+  survives to the last leaf is counted. It is the ground truth and is
   deliberately kept free of the shortcuts below.
 * fast mode scans binary trees for displayers, stopping at two, then
   certifies uniqueness among non-binary trees by checking that every
@@ -14,13 +23,12 @@ Q. Two decision routes are provided and must agree:
   yields a second displayer, and every non-binary displayer arises by
   contracting edges of T, so the certificate is exact.
 
-The fast scan prunes the insertion search. A quartet xy|zk is checked
-when its largest leaf k is inserted, and k goes only where the child
-displays it: strictly inside S*, the z-side of the edge next to the
-x,y,z median in the parent. Every other position puts k on x's or y's
-branch or at the median, and the status a quartet gets on insertion of
-its last leaf never changes afterwards. So the rule drops no displayer
-and admits no extra one, and the survivors keep their stream order.
+The fast scan also prunes before it builds. Leaf k goes only where the
+child displays every quartet xy|zk whose largest leaf is k: strictly
+inside S*, the z-side of the edge next to the x,y,z median in the
+parent. Every other position puts k on x's or y's branch or at the
+median. So the rule drops no displayer and admits no extra one, and the
+survivors keep their stream order.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Literal
 
-from .enumeration import _check_mode, _check_size, _stream_masks, Mode
+from .enumeration import _check_mode, _check_size, _children, _stream_masks, Mode
 from .errors import AmbientMismatchError, QuartetError, TooFewLeavesError
 from .model import (
     LeafSet,
@@ -117,11 +125,32 @@ def _pruned_displayers(
 
 
 def _oracle_displayers(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
-    """Every tree on qs's leaves displaying all of qs, from the unpruned walk."""
+    """Every tree on qs's leaves displaying all of qs, in stream order.
+
+    A depth-first walk over every child of every surviving tree. Each
+    child is tested against the quartets whose largest leaf it has just
+    inserted, and one that fails is dropped with its whole subtree.
+    """
     n = qs.leaves.n
     _check_size(n, "all", cap)
-    pairs = [q.pair_masks() for q in qs.sorted_quartets()]
-    return (m for m in _stream_masks(n, "all") if _displays_masks(m, pairs))
+    levels: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for q in qs.sorted_quartets():
+        levels[max(q.b, q.d)].append(q.pair_masks())
+
+    def walk() -> Iterator[tuple[int, ...]]:
+        stack: list[tuple[tuple[int, ...], int]] = [((), 3)]
+        while stack:
+            splits, k = stack.pop()
+            if k == n:
+                yield splits
+                continue
+            children = _children(splits, k, True)
+            pairs = levels.get(k)
+            if pairs:
+                children = [c for c in children if _displays_masks(c, pairs)]
+            stack.extend((c, k + 1) for c in reversed(children))
+
+    return walk()
 
 
 def displayers(
@@ -181,10 +210,11 @@ def defines(
     """Whether exactly one tree on the leaves displays every quartet.
 
     By default the ambient leaf set is exactly the leaves the quartets
-    mention; a larger one must be requested explicitly. Oracle mode walks
-    every tree (no degree-2 vertices) and counts; fast mode uses the
-    binary scan plus the distinguished-edge certificate. Both report
-    through the same verdict type.
+    mention; a larger one must be requested explicitly. Oracle mode grows
+    every tree (no degree-2 vertices), drops each one as soon as a quartet
+    whose last leaf it has inserted is not displayed, and counts the
+    survivors; fast mode uses the binary scan plus the distinguished-edge
+    certificate. Both report through the same verdict type.
     """
     if mode not in ("fast", "oracle"):
         raise QuartetError(f"mode must be 'fast' or 'oracle', got {mode!r}")
@@ -298,9 +328,10 @@ def semantic_infers(
 ) -> bool:
     """Whether every tree displaying all of qs also displays q.
 
-    Exhaustive over the full stream of trees with no degree-2 vertices on
-    the ambient leaves (default: the quartet set's own). The quartet q is
-    indexed against the quartet set's leaf set.
+    Exhaustive over the trees with no degree-2 vertices on the ambient
+    leaves (default: the quartet set's own) that display qs, as found by
+    the oracle walk. The quartet q is indexed against the quartet set's
+    leaf set.
     """
     ambient = leaves if leaves is not None else qs.leaves
     moved = qs.translate(ambient)

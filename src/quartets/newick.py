@@ -101,16 +101,16 @@ def parse_newick(text: str) -> PhyloTree:
     leaves = LeafSet.from_labels(labels)
     n = leaves.n
     full = leaves.full_mask()
+    # appearance order -> bit of the label's sorted index
+    bit = [1 << leaves.index(label) for label in labels]
     masks = []
     for cluster in clusters:
         m = 0
-        i = 0
         c = cluster
         while c:
-            if c & 1:
-                m |= 1 << leaves.index(labels[i])
-            c >>= 1
-            i += 1
+            low = c & -c
+            m |= bit[low.bit_length() - 1]
+            c ^= low
         if not (2 <= m.bit_count() <= n - 2):
             continue
         if m & 1:

@@ -1,13 +1,15 @@
 """Independent cross-checks the test suite trusts instead of the library.
 
 Nothing here imports the package's enumeration internals: the counts
-come from closed forms and a standalone recurrence, so an agreement
-failure points at the implementation, not at a shared bug.
+come from closed forms and a standalone recurrence, and displayers come
+from a split-system backtrack, so an agreement failure points at the
+implementation, not at a shared bug.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 
@@ -62,3 +64,55 @@ def random_index_sets(
         size = rng.randint(1, max_size)
         out.append(rng.sample(pool, min(size, len(pool))))
     return out
+
+
+@lru_cache(maxsize=None)
+def split_systems(n: int) -> tuple[frozenset[frozenset[int]], ...]:
+    """Every tree on leaves 0..n-1 with no degree-2 vertices, as its splits.
+
+    By the splits-equivalence theorem such trees correspond one to one
+    with sets of pairwise-compatible nontrivial splits. A split is named
+    by its side without leaf 0, so two sides are compatible exactly when
+    they are disjoint or nested. Backtracking over the sides in a fixed
+    order reaches each compatible set once.
+    """
+    sides = [
+        frozenset(side)
+        for size in range(2, n - 1)
+        for side in combinations(range(1, n), size)
+    ]
+
+    def compatible(a, b):
+        return not a & b or a <= b or b <= a
+
+    out = []
+
+    def extend(chosen, start):
+        out.append(frozenset(chosen))
+        for i in range(start, len(sides)):
+            if all(compatible(sides[i], c) for c in chosen):
+                chosen.append(sides[i])
+                extend(chosen, i + 1)
+                chosen.pop()
+
+    extend([], 0)
+    return tuple(out)
+
+
+def shows(splits, a: int, b: int, c: int, d: int) -> bool:
+    """Whether one of the splits has a and b on one side, c and d on the other."""
+    return any(
+        (a in s) == (b in s) and (c in s) == (d in s) and (a in s) != (c in s)
+        for s in splits
+    )
+
+
+def reference_displayers(
+    n: int, quartets: list[tuple[int, int, int, int]]
+) -> list[frozenset[frozenset[int]]]:
+    """The trees on leaves 0..n-1 displaying every quartet ab|cd, as splits."""
+    return [
+        splits
+        for splits in split_systems(n)
+        if all(shows(splits, *q) for q in quartets)
+    ]

@@ -1,13 +1,17 @@
 """Definitiveness, minimality, inference: oracle and fast paths must agree."""
 
+import random
+
 import pytest
 
 import oracles
 from conftest import qset, quartet_set_from_indices
 from quartets import (
     AmbientMismatchError,
+    DEFINES,
     INCOMPATIBLE,
     NOT_DEFINITIVE,
+    PhyloTree,
     QuartetError,
     QuartetSet,
     caterpillar,
@@ -21,9 +25,11 @@ from quartets import (
     make_quartet,
     minimal_definitive_set,
     minimality_report,
+    normalized_quartet,
     semantic_infers,
     undistinguished_edges,
 )
+from quartets.enumeration import _children
 
 
 def split_texts(tree):
@@ -299,3 +305,109 @@ class TestOracleFastAgreement:
                 if common_leaf_certificate(qs, fast.tree):
                     assert oracle.tree == fast.tree
         assert definitive_seen > 0
+
+
+def _sides(tree):
+    """The tree's splits as sets of leaf indices, the reference's form."""
+    return frozenset(
+        frozenset(i for i in range(tree.n) if m >> i & 1) for m in tree.masks
+    )
+
+
+class TestOracleReference:
+    """defines(mode="oracle") against the split-system backtrack in oracles."""
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_reference_without_quartets_counts_every_tree(self, n):
+        assert len(oracles.reference_displayers(n, [])) == oracles.all_tree_count(n)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_oracle_matches_the_reference(self, n):
+        rng = random.Random(500 + n)
+        ls = integer_leaves(n)
+        binary = [s for s in oracles.split_systems(n) if len(s) == n - 3]
+        statuses = set()
+        for _ in range(60):
+            # quartets shown by one binary tree, sometimes plus an arbitrary one
+            source = rng.choice(binary)
+            rows = []
+            for _ in range(rng.randint(1, 2 * n)):
+                a, b, c, d = rng.sample(range(n), 4)
+                for row in ((a, b, c, d), (a, c, b, d), (a, d, b, c)):
+                    if oracles.shows(source, *row):
+                        rows.append(row)
+            if rng.random() < 0.3:
+                rows.append(tuple(rng.sample(range(n), 4)))
+            expected = oracles.reference_displayers(n, rows)
+            qs = quartet_set_from_indices(ls, rows)
+            v = defines(qs, leaves=ls, mode="oracle", allow_larger_ambient=True)
+            assert v.displayer_count == len(expected)
+            assert v.status == {0: INCOMPATIBLE, 1: DEFINES}.get(
+                len(expected), NOT_DEFINITIVE
+            )
+            assert all(_sides(t) in expected for t in v.examples)
+            if v.is_definitive:
+                assert _sides(v.tree) == expected[0]
+            statuses.add(v.status)
+        assert statuses == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
+
+
+def _random_binary_tree(rng, n):
+    splits = ()
+    for k in range(3, n):
+        splits = rng.choice(_children(splits, k, False))
+    return PhyloTree(integer_leaves(n), splits)
+
+
+def _resolutions(four):
+    """The three quartets on four leaves."""
+    a, b, c, d = four
+    return (
+        normalized_quartet(a, b, c, d),
+        normalized_quartet(a, c, b, d),
+        normalized_quartet(a, d, b, c),
+    )
+
+
+def _assert_fast_matches_oracle(qs):
+    fast = defines(qs, mode="fast")
+    oracle = defines(qs, mode="oracle")
+    assert fast.status == oracle.status
+    assert fast.tree == oracle.tree
+    return oracle.status
+
+
+class TestOracleFastAgreementPastSeven:
+    """Structured sets on 8 and 9 leaves, where random sets rarely define."""
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_samples_of_a_random_binary_tree(self, n):
+        rng = random.Random(800 + n)
+        ls = integer_leaves(n)
+        statuses = []
+        for _ in range(30):
+            tree = _random_binary_tree(rng, n)
+            quartets = set()
+            for _ in range(rng.randint(n - 3, 3 * n)):
+                quartets.update(
+                    q for q in _resolutions(rng.sample(range(n), 4)) if displays(tree, q)
+                )
+            statuses.append(_assert_fast_matches_oracle(QuartetSet(ls, frozenset(quartets))))
+        assert set(statuses) == {DEFINES, NOT_DEFINITIVE}
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_construction_minus_each_quartet(self, n):
+        qs = minimal_definitive_set(n)
+        for q in qs.sorted_quartets():
+            assert _assert_fast_matches_oracle(qs.without_quartet(q)) == NOT_DEFINITIVE
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_construction_plus_a_conflicting_quartet(self, n):
+        rng = random.Random(900 + n)
+        qs = minimal_definitive_set(n)
+        tree = defines(qs).tree
+        for _ in range(6):
+            for q in _resolutions(rng.sample(range(n), 4)):
+                if not displays(tree, q):
+                    conflicting = QuartetSet(qs.leaves, qs.quartets | {q})
+                    assert _assert_fast_matches_oracle(conflicting) == INCOMPATIBLE

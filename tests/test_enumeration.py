@@ -16,7 +16,7 @@ from quartets import (
     normalized_quartet,
     tree_from_splits,
 )
-from quartets.decide import _level_quartets
+from quartets.decide import _level_quartets, _oracle_displayers
 from quartets.enumeration import _stream_masks
 from quartets.model import _displays_masks
 
@@ -72,10 +72,13 @@ def test_stream_is_restartable_and_deterministic():
 
 
 def _assert_pruned_is_filtered(qs, mode, whole):
-    """The pruned stream is the full stream filtered by display, in order."""
+    """The pruned stream, and for "all" the oracle walk, is the full stream
+    filtered by display, in order."""
     pairs = [q.pair_masks() for q in qs.sorted_quartets()]
     expected = [m for m in whole if _displays_masks(m, pairs)]
     assert list(_stream_masks(qs.leaves.n, mode, _level_quartets(qs))) == expected
+    if mode == "all":
+        assert list(_oracle_displayers(qs, None)) == expected
     return len(expected)
 
 
