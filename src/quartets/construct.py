@@ -29,6 +29,8 @@ from .model import (
     Quartet,
     QuartetSet,
     Split,
+    _canonical,
+    _displays_masks,
     cherry_replace,
     contract,
     displays,
@@ -51,14 +53,14 @@ def caterpillar_from_order(order) -> PhyloTree:
     leaves = LeafSet.from_labels(labels)
     if leaves.n < 3:
         raise TooFewLeavesError("a caterpillar needs at least three leaves")
-    masks = []
-    for j in range(2, leaves.n - 1):
-        m = 0
-        for lab in labels[:j]:
-            m |= 1 << leaves.index(lab)
-        masks.append(m)
     full = leaves.full_mask()
-    return PhyloTree(leaves, [(full & ~m) if m & 1 else m for m in masks])
+    bits = [1 << leaves.index(lab) for lab in labels]
+    prefix = bits[0]
+    masks = []
+    for b in bits[1:-2]:
+        prefix |= b
+        masks.append(_canonical(prefix, full))
+    return PhyloTree(leaves, masks)
 
 
 def caterpillar(n: int) -> PhyloTree:
@@ -131,6 +133,7 @@ def _validate_level(
     witnesses: dict[int, PhyloTree],
     target: PhyloTree,
 ) -> None:
+    pairs = [q.pair_masks() for q in seq]
     for i, q in enumerate(seq, start=1):
         w = witnesses[i]
         if w.leaves != target.leaves:
@@ -139,12 +142,16 @@ def _validate_level(
             raise WitnessCheckError(
                 f"witness {i}: coincides with the target tree", level
             )
-        for other in seq:
-            if other != q and not displays(w, other):
-                raise WitnessCheckError(
-                    f"witness {i}: fails to display {other.text(target.leaves)}",
-                    level,
-                )
+        if not _displays_masks(w.masks, pairs[: i - 1] + pairs[i:]):
+            missed = next(
+                other
+                for other, pair in zip(seq, pairs)
+                if other != q and not _displays_masks(w.masks, (pair,))
+            )
+            raise WitnessCheckError(
+                f"witness {i}: fails to display {missed.text(target.leaves)}",
+                level,
+            )
 
 
 def witness_chain(k: int) -> WitnessChain:

@@ -102,7 +102,6 @@ class MinimalityReport:
     minimal: bool | None
     size: int
     n: int
-    lower_bound_ok: bool | None
 
 
 def _level_quartets(qs: QuartetSet) -> dict[int, list[tuple[int, int]]]:
@@ -287,7 +286,7 @@ def minimality_report(
     size = len(qs)
     n = len(qs.support_labels())
     if not verdict.is_definitive:
-        return MinimalityReport(verdict, (), None, size, n, None)
+        return MinimalityReport(verdict, (), None, size, n)
     tree = verdict.tree
     ambient = tree.leaves
     moved = qs.translate(ambient)
@@ -314,9 +313,7 @@ def minimality_report(
         else:
             entries.append((q, RemovalWitness("redundant")))
             redundant = True
-    return MinimalityReport(
-        verdict, tuple(entries), not redundant, size, n, size >= n - 3
-    )
+    return MinimalityReport(verdict, tuple(entries), not redundant, size, n)
 
 
 def semantic_infers(

@@ -12,6 +12,11 @@ holding the side that does NOT contain index 0. For two such canonical
 masks, compatibility reduces to "disjoint or nested", which keeps the
 hot checks to a couple of integer operations. A tree holds its masks as
 one sorted tuple of ints; Split objects are built only on request.
+
+Moving a tree or quartet set onto another leaf set (relabelling, cherry
+replacement, leaf removal, reindexing, reading Newick) builds one table
+per call, old leaf index to its place in the new leaf set, maps each
+mask through it bit by bit and flips a moved split that holds index 0.
 """
 
 from __future__ import annotations
@@ -137,8 +142,7 @@ class Split:
             if mask & bit:
                 raise DuplicateLeafError(f"leaf {x!r} repeated in split side")
             mask |= bit
-        if mask & 1:
-            mask = leaves.full_mask() ^ mask
+        mask = _canonical(mask, leaves.full_mask())
         if mask == 0:
             raise QuartetError("split side must not be the whole leaf set")
         return cls(mask, leaves.n)
@@ -392,18 +396,16 @@ class QuartetSet:
         return self.translate(sub)
 
     def translate(self, other: LeafSet) -> "QuartetSet":
-        """Reindex all quartets onto another leaf set by label."""
+        """Reindex all quartets onto another leaf set by label; only the
+        labels the quartets use need to be in it."""
         if other == self.leaves:
             return self
+        support = self.support_mask()
         ls = self.leaves.labels
-        moved = frozenset(
-            normalized_quartet(
-                other.index(ls[q.a]), other.index(ls[q.b]),
-                other.index(ls[q.c]), other.index(ls[q.d]),
-            )
-            for q in self.quartets
+        table = {i: other.index(l) for i, l in enumerate(ls) if support >> i & 1}
+        return QuartetSet(
+            other, frozenset(_move_quartet(q, table) for q in self.quartets)
         )
-        return QuartetSet(other, moved)
 
     def without_quartet(self, q: Quartet) -> "QuartetSet":
         return QuartetSet(self.leaves, self.quartets - {q})
@@ -412,27 +414,32 @@ class QuartetSet:
         return [q.text(self.leaves) for q in self.sorted_quartets()]
 
 
-# ---- label-level surgery: relabelling, cherry replacement, contraction ---- #
+# ---- surgery: moves onto a new leaf set through one index table per call ---- #
 
 
-def _side_labels(leaves: LeafSet, mask: int) -> list[str]:
-    return [l for i, l in enumerate(leaves.labels) if mask >> i & 1]
+def _move_mask(mask: int, table) -> int:
+    """OR of table[i] over the set bits i of mask: the bits old leaf i
+    becomes in the new leaf set, 0 when the leaf is dropped."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
-def _mask_from_labels(leaves: LeafSet, side: Iterable[str]) -> int:
-    mask = 0
-    for l in side:
-        mask |= 1 << leaves.index(l)
-    if mask & 1:
-        mask = leaves.full_mask() ^ mask
-    return mask
+def _canonical(mask: int, full: int) -> int:
+    """The side of the split mask | full ^ mask that avoids leaf index 0."""
+    return full ^ mask if mask & 1 else mask
 
 
-def _normalize_mapping(mapping: Mapping) -> dict[str, str]:
-    return {_as_label(k): _as_label(v) for k, v in mapping.items()}
+def _move_quartet(q: Quartet, table) -> Quartet:
+    """q with each leaf index i replaced by table[i], normalised."""
+    return normalized_quartet(table[q.a], table[q.b], table[q.c], table[q.d])
 
 
-def _map_leafset(leaves: LeafSet, mapping: dict[str, str]) -> LeafSet:
+def _image_leaves(leaves: LeafSet, mapping: dict[str, str]) -> tuple[LeafSet, list[int]]:
+    """The image leaf set of a relabelling, and old index -> new index."""
     images = []
     for l in leaves.labels:
         if l not in mapping:
@@ -440,7 +447,8 @@ def _map_leafset(leaves: LeafSet, mapping: dict[str, str]) -> LeafSet:
         images.append(mapping[l])
     if len(set(images)) != len(images):
         raise NonBijectiveError("relabel map is not injective on these leaves")
-    return LeafSet.from_labels(images)
+    new_leaves = LeafSet.from_labels(images)
+    return new_leaves, [new_leaves.index(l) for l in images]
 
 
 def relabel(x, mapping: Mapping, *, leaves: LeafSet | None = None):
@@ -451,40 +459,26 @@ def relabel(x, mapping: Mapping, *, leaves: LeafSet | None = None):
     indexed against the image leaf set, which for a self-bijection is the
     original one.
     """
-    m = _normalize_mapping(mapping)
+    m = {_as_label(k): _as_label(v) for k, v in mapping.items()}
     if isinstance(x, PhyloTree):
-        new_leaves = _map_leafset(x.leaves, m)
-        masks = [
-            _mask_from_labels(new_leaves, (m[l] for l in _side_labels(x.leaves, s)))
-            for s in x.masks
-        ]
+        new_leaves, table = _image_leaves(x.leaves, m)
+        bits = [1 << j for j in table]
+        full = new_leaves.full_mask()
+        masks = [_canonical(_move_mask(s, bits), full) for s in x.masks]
         return PhyloTree(new_leaves, masks)
     if isinstance(x, QuartetSet):
-        new_leaves = _map_leafset(x.leaves, m)
-        ls = x.leaves.labels
+        new_leaves, table = _image_leaves(x.leaves, m)
         return QuartetSet(
-            new_leaves,
-            frozenset(
-                normalized_quartet(
-                    new_leaves.index(m[ls[q.a]]), new_leaves.index(m[ls[q.b]]),
-                    new_leaves.index(m[ls[q.c]]), new_leaves.index(m[ls[q.d]]),
-                )
-                for q in x.quartets
-            ),
+            new_leaves, frozenset(_move_quartet(q, table) for q in x.quartets)
         )
     if isinstance(x, Quartet):
         if leaves is None:
             raise QuartetError("relabelling a bare quartet needs its leaf set")
-        ls = leaves.labels
-        used = [ls[i] for i in x.indices()]
-        for l in used:
-            if l not in m:
-                raise UnknownLeafError(f"relabel map does not cover leaf {l!r}")
-        if len({m[l] for l in used}) != 4:
-            raise NonBijectiveError("relabel map is not injective on these leaves")
-        full = {l: m.get(l, l) for l in ls}
-        new_leaves = _map_leafset(leaves, full)
-        return normalized_quartet(*(new_leaves.index(m[l]) for l in used))
+        # the map must cover x's four leaves and keep them apart; the
+        # other leaves default to themselves
+        _image_leaves(LeafSet.from_labels(leaves.labels[i] for i in x.indices()), m)
+        _, table = _image_leaves(leaves, {l: m.get(l, l) for l in leaves.labels})
+        return _move_quartet(x, table)
     raise QuartetError(f"cannot relabel {type(x).__name__}")
 
 
@@ -516,14 +510,13 @@ def cherry_replace(tree: PhyloTree, x: Label, y: Label) -> PhyloTree:
     if yl in tree.leaves:
         raise LabelCollisionError(f"leaf {yl!r} already present")
     new_leaves = LeafSet.from_labels(tree.leaves.labels + (yl,))
-    masks = []
-    for s in tree.masks:
-        side = _side_labels(tree.leaves, s)
-        if xl in side:
-            side.append(yl)
-        masks.append(_mask_from_labels(new_leaves, side))
+    table = [1 << new_leaves.index(l) for l in tree.leaves.labels]
+    xi = tree.leaves.index(xl)
+    table[xi] |= 1 << new_leaves.index(yl)  # x carries y along
+    full = new_leaves.full_mask()
+    masks = [_canonical(_move_mask(s, table), full) for s in tree.masks]
     if new_leaves.n >= 4:
-        masks.append(_mask_from_labels(new_leaves, [xl, yl]))
+        masks.append(_canonical(table[xi], full))
     return PhyloTree(new_leaves, masks)
 
 
@@ -532,13 +525,14 @@ def remove_leaf(tree: PhyloTree, x: Label) -> PhyloTree:
     xl = _as_label(x)
     if xl not in tree.leaves:
         raise UnknownLeafError(f"no leaf {xl!r} in tree")
-    rest = [l for l in tree.leaves.labels if l != xl]
-    new_leaves = LeafSet.from_labels(rest)
-    masks = set()
+    new_leaves = LeafSet.from_labels(l for l in tree.leaves.labels if l != xl)
+    table = [0 if l == xl else 1 << new_leaves.index(l) for l in tree.leaves.labels]
+    full = new_leaves.full_mask()
+    masks = []
     for s in tree.masks:
-        side = [l for l in _side_labels(tree.leaves, s) if l != xl]
-        if 2 <= len(side) <= new_leaves.n - 2:
-            masks.add(_mask_from_labels(new_leaves, side))
+        side = _move_mask(s, table)
+        if 2 <= side.bit_count() <= new_leaves.n - 2:
+            masks.append(_canonical(side, full))
     return PhyloTree(new_leaves, masks)
 
 

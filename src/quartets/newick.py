@@ -16,7 +16,7 @@ tree_from_splits checks and every tree built in this package satisfies.
 from __future__ import annotations
 
 from .errors import ParseError, InteriorLabelError, QuartetError, TooFewLeavesError
-from .model import LeafSet, PhyloTree
+from .model import LeafSet, PhyloTree, _canonical, _move_mask
 
 # structural characters; labels may not contain these or whitespace
 _RESERVED = set("():,;|#")
@@ -105,17 +105,9 @@ def parse_newick(text: str) -> PhyloTree:
     bit = [1 << leaves.index(label) for label in labels]
     masks = []
     for cluster in clusters:
-        m = 0
-        c = cluster
-        while c:
-            low = c & -c
-            m |= bit[low.bit_length() - 1]
-            c ^= low
-        if not (2 <= m.bit_count() <= n - 2):
-            continue
-        if m & 1:
-            m = full & ~m
-        masks.append(m)
+        m = _move_mask(cluster, bit)
+        if 2 <= m.bit_count() <= n - 2:
+            masks.append(_canonical(m, full))
     # clusters of a nesting are laminar, so the splits are compatible
     return PhyloTree(leaves, masks)
 

@@ -1,7 +1,8 @@
 """Randomized search for small minimal definitive quartet sets.
 
-Whether any definitive set on n leaves can be smaller than the 2n-8
-construction is open, so this is an explorer, not a decision procedure.
+Minimal definitive sets larger than the 2n-8 construction exist (size 7
+on 7 leaves, 11 on 8), but the maximum size for a given n is not known
+here, so this is an explorer, not a decision procedure.
 Each trial draws a random set of the requested size and repairs it
 toward definitiveness: cover leaves nobody mentions, and when two
 displayers survive, add a quartet that one displays and the other does

@@ -1,8 +1,11 @@
 """Small definitive sets, their witnesses, and the level-by-level checker."""
 
+import hashlib
+
 import pytest
 
 from quartets import (
+    PhyloTree,
     TooFewLeavesError,
     TooManyLeavesError,
     WitnessChain,
@@ -18,6 +21,7 @@ from quartets import (
     minimal_definitive_set,
     minimality_report,
     reverse,
+    serialize_newick,
     target_tree,
     verify_construction,
     witness_chain,
@@ -195,12 +199,29 @@ class TestWitnessChain:
             for other in qs.without_quartet(q):
                 assert displays(alt, other)
 
+    def test_thirty_leaf_chain_is_pinned(self):
+        # the 52 witnesses of level 30, in order
+        chain = witness_chain(30)
+        text = "".join(serialize_newick(w) + "\n" for _, w in chain.entries)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "8252c66d3b19291390fa17171ae2ae0da335a074c53a496efc39ff24ffc3b327"
+
     def test_loose_edge_failure_names_its_level(self, monkeypatch):
         # with every edge pinned there is no loose edge to contract
         monkeypatch.setattr(construct, "_undistinguished_masks", lambda qs, tree: [])
         with pytest.raises(WitnessCheckError) as info:
             witness_chain(7)
         assert info.value.level == 6
+
+    @pytest.mark.parametrize("i, missed", [(1, "1,3|4,6"), (2, "1,2|3,5")])
+    def test_display_failure_names_the_first_missed_quartet(self, i, missed):
+        witnesses = witness_chain(6).witnesses
+        witnesses[i] = PhyloTree(integer_leaves(6), ())  # the star displays nothing
+        seq = minimal_definitive_sequence(6)
+        with pytest.raises(WitnessCheckError) as info:
+            construct._validate_level(6, seq, witnesses, caterpillar(6))
+        assert info.value.level == 6
+        assert str(info.value).startswith(f"witness {i}: fails to display {missed} ")
 
     def test_too_few(self):
         with pytest.raises(TooFewLeavesError):

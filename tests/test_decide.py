@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import qset, quartet_set_from_indices
@@ -26,6 +27,7 @@ from quartets import (
     minimal_definitive_set,
     minimality_report,
     normalized_quartet,
+    relabel,
     semantic_infers,
     undistinguished_edges,
 )
@@ -156,7 +158,7 @@ class TestMinimalityReport:
         report = minimality_report(q6)
         assert report.minimal is True
         assert report.size == 4 and report.n == 6
-        assert report.lower_bound_ok is True
+        assert report.size >= report.n - 3  # one quartet pins each edge
         kinds = {q.text(leaves6): w.kind for q, w in report.entries}
         assert kinds == {
             "1,2|3,5": "undistinguished_edge",
@@ -192,7 +194,28 @@ class TestMinimalityReport:
         report = minimality_report(qs)
         assert not report.verdict.is_definitive
         assert report.entries == ()
-        assert report.minimal is None and report.lower_bound_ok is None
+        assert report.minimal is None
+
+    # ROADMAP item 3: minimal definitive sets larger than 2n-8 on 7 and 8 leaves
+    @pytest.mark.parametrize("mode", ["fast", "oracle"])
+    @pytest.mark.parametrize(
+        "n, text",
+        [
+            (7, "1,2|3,5 1,2|4,6 1,2|6,7 1,3|4,6 1,3|6,7 2,4|5,7 3,5|6,7"),
+            (
+                8,
+                "1,2|3,5 1,2|4,6 1,2|6,7 1,2|7,8 1,3|4,6 1,3|6,7 1,3|7,8 "
+                "2,4|5,8 3,5|6,7 3,5|7,8 4,6|7,8",
+            ),
+        ],
+    )
+    def test_sets_larger_than_the_construction(self, n, text, mode):
+        rows = [t.replace("|", ",").split(",") for t in text.split()]
+        qs = qset(integer_leaves(n), *rows)
+        report = minimality_report(qs, mode=mode)
+        assert report.verdict.is_definitive
+        assert report.minimal is True
+        assert report.size > 2 * n - 8
 
 
 class TestSemanticInference:
@@ -411,3 +434,36 @@ class TestOracleFastAgreementPastSeven:
                 if not displays(tree, q):
                     conflicting = QuartetSet(qs.leaves, qs.quartets | {q})
                     assert _assert_fast_matches_oracle(conflicting) == INCOMPATIBLE
+
+
+_LETTERS = ["a", "a1", "b", "b2", "b10", "c", "d", "e"]
+
+
+class TestRelabelInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_verdict_and_tree_follow_the_labels(self, data):
+        n = data.draw(st.integers(5, 8), label="n")
+        splits = ()
+        for k in range(3, n):
+            splits = data.draw(st.sampled_from(_children(splits, k, False)))
+        tree = PhyloTree(integer_leaves(n), splits)
+        quartets = set()
+        fours = data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3 * n))
+        for perm in fours:
+            quartets.update(q for q in _resolutions(perm[:4]) if displays(tree, q))
+        if data.draw(st.booleans(), label="extra quartet"):
+            quartets.add(normalized_quartet(*data.draw(st.permutations(range(n)))[:4]))
+        qs = QuartetSet(tree.leaves, frozenset(quartets))
+        # shuffled images, so the two label orders interleave
+        pool = data.draw(st.sampled_from([[str(i) for i in range(2 * n)], _LETTERS]))
+        images = data.draw(st.permutations(pool), label="images")[:n]
+        sigma = dict(zip(tree.leaves.labels, images))
+        moved = relabel(qs, sigma)
+        before, after = defines(qs), defines(moved)
+        assert after.status == before.status
+        if before.is_definitive:
+            assert after.tree == relabel(before.tree, sigma)
+        if n <= 7:
+            count = defines(qs, mode="oracle").displayer_count
+            assert defines(moved, mode="oracle").displayer_count == count

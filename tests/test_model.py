@@ -323,13 +323,49 @@ class TestCherryReplace:
         with pytest.raises(LabelCollisionError):
             cherry_replace(t6, "6", "1")
 
-    def test_remove_leaf_inverts_it(self):
+    # "0" sorts before leaf 0, so every canonical side flips; "3a" lands
+    # between 3 and 4; "7" sorts last
+    @pytest.mark.parametrize("new", ["0", "3a", "7"])
+    def test_remove_leaf_inverts_it(self, new):
         # round trip over every enumerated binary tree and every leaf, n=6
         ls = integer_leaves(6)
         for tree in enumerate_trees(ls, "binary"):
             for x in ls.labels:
-                grown = cherry_replace(tree, x, "7")
-                assert remove_leaf(grown, "7") == tree
+                grown = cherry_replace(tree, x, new)
+                assert remove_leaf(grown, new) == tree
+
+
+def _from_sides(leaves, sides):
+    """Reference: the tree on leaves with one split per label side."""
+    return tree_from_splits(leaves, {Split.from_side(leaves, side) for side in sides})
+
+
+class TestSurgeryAgainstLabelReference:
+    def test_every_six_leaf_tree(self):
+        # remove_leaf, cherry_replace and relabel against rebuilding each
+        # tree from its label sides
+        rng = random.Random(6)
+        ls = integer_leaves(6)
+        for tree in enumerate_trees(ls, "all"):
+            sides = [s.sides(ls)[1] for s in tree.splits]
+            for x in ls.labels:
+                rest = LeafSet.from_labels(l for l in ls.labels if l != x)
+                kept = [[l for l in side if l != x] for side in sides]
+                assert remove_leaf(tree, x) == _from_sides(
+                    rest, [k for k in kept if 2 <= len(k) <= rest.n - 2]
+                )
+                for new in ("0", "3a", "7"):
+                    grown = LeafSet.from_labels(ls.labels + (new,))
+                    carried = [side + (new,) if x in side else side for side in sides]
+                    assert cherry_replace(tree, x, new) == _from_sides(
+                        grown, carried + [(x, new)]
+                    )
+            letters = list("abcdef")
+            rng.shuffle(letters)
+            sigma = dict(zip(ls.labels, letters))
+            assert relabel(tree, sigma) == _from_sides(
+                LeafSet.from_labels(letters), [[sigma[l] for l in side] for side in sides]
+            )
 
 
 class TestContract:
