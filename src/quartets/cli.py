@@ -227,7 +227,8 @@ def _add_cap(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="override the leaf-count ceiling for exhaustive scans",
+        help="override the leaf-count ceiling for exhaustive scans; "
+        "sets the closure certificate settles need no scan",
     )
 
 

@@ -115,11 +115,8 @@ class WitnessChain:
         return dict(self.entries)[i]
 
 
-def _loose_edge_witness(
-    level: int, rest: list[Quartet], leaves: LeafSet, tree: PhyloTree
-) -> PhyloTree:
-    qs = QuartetSet(leaves, frozenset(rest))
-    loose = _undistinguished_masks(qs, tree)
+def _loose_edge_witness(level: int, rest: list[Quartet], tree: PhyloTree) -> PhyloTree:
+    loose = _undistinguished_masks(tree.masks, [q.pair_masks() for q in rest])
     if not loose:
         raise WitnessCheckError(
             "expected an edge pinned only by the removed quartet", level
@@ -165,18 +162,16 @@ def witness_chain(k: int) -> WitnessChain:
     if k < 6:
         raise TooFewLeavesError("the witness chain starts at six leaves")
     seq = minimal_definitive_sequence(6)
-    leaves = integer_leaves(6)
     target = caterpillar(6)
     witnesses: dict[int, PhyloTree] = {}
     for i in (1, 2, 4):
         rest = [q for j, q in enumerate(seq, start=1) if j != i]
-        witnesses[i] = _loose_edge_witness(6, rest, leaves, target)
+        witnesses[i] = _loose_edge_witness(6, rest, target)
     witnesses[3] = caterpillar_from_order([2, 4, 6, 1, 5, 3])
     _validate_level(6, seq, witnesses, target)
     for level in range(7, k + 1):
         prev = witnesses
         seq = minimal_definitive_sequence(level)
-        leaves = integer_leaves(level)
         target = caterpillar(level)
         size = 2 * level - 8
         witnesses = {}
@@ -184,7 +179,7 @@ def witness_chain(k: int) -> WitnessChain:
             witnesses[i] = cherry_replace(prev[i], level - 1, level)
         witnesses[size - 1] = reverse(witnesses[3])
         rest = list(seq[:-1])
-        witnesses[size] = _loose_edge_witness(level, rest, leaves, target)
+        witnesses[size] = _loose_edge_witness(level, rest, target)
         _validate_level(level, seq, witnesses, target)
     return WitnessChain(k, tuple(sorted(witnesses.items())))
 

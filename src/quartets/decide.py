@@ -16,12 +16,29 @@ once its last leaf is in.
   inserted; a child that fails is dropped with its whole subtree. What
   survives to the last leaf is counted. It is the ground truth and is
   deliberately kept free of the shortcuts below.
-* fast mode scans binary trees for displayers, stopping at two, then
-  certifies uniqueness among non-binary trees by checking that every
-  edge of the sole binary displayer T is the unique separating edge of
-  some quartet. Contracting an edge that no quartet pins down always
-  yields a second displayer, and every non-binary displayer arises by
-  contracting edges of T, so the certificate is exact.
+* fast mode first tries the closure certificate below. When that does
+  not settle Q, it scans binary trees for displayers, stopping at two,
+  then certifies uniqueness among non-binary trees by checking that
+  every edge of the sole binary displayer T is the unique separating
+  edge of some quartet. Contracting an edge that no quartet pins down
+  always yields a second displayer, and every non-binary displayer
+  arises by contracting edges of T, so the check is exact.
+
+The closure certificate answers without a scan and is never wrong; it
+only sometimes declines. Q is closed under the one inference rule,
+which is sound, so every displayer of Q displays the closure. The
+closed quartets that hold a leaf x, read with x as the root, are rooted
+triples: xa|bc says that b and c share a cluster without a. BUILD (Aho,
+Sagiv, Szymanski and Ullman, SIAM J. Comput. 1981) decides whether a
+set of rooted triples is compatible. If it fails for some x, nothing
+displays Q: the verdict is incompatible. If it grows a binary tree T
+that displays Q, and x's triples distinguish all n-3 edges of T (each
+edge is the unique separating edge of one of them), those triples
+define T (Semple and Steel, Phylogenetics, 2003, ch. 6), so T is the
+only displayer of Q. Otherwise the scan decides. minimality_report
+uses the same edge-pinning check on Q minus q and its known tree, and
+marks q redundant without a scan when one leaf's closed quartets pin
+every edge. The scan cap bounds only the scan.
 
 The fast scan also prunes before it builds. Leaf k goes only where the
 child displays every quartet xy|zk whose largest leaf is k: strictly
@@ -39,17 +56,22 @@ from itertools import islice
 from typing import Iterator, Literal
 
 from .enumeration import _check_mode, _check_size, _children, _stream_masks, Mode
-from .errors import AmbientMismatchError, QuartetError, TooFewLeavesError
+from .errors import (
+    AmbientMismatchError,
+    QuartetError,
+    TooFewLeavesError,
+    TooManyLeavesError,
+)
 from .model import (
     LeafSet,
     PhyloTree,
     Quartet,
     QuartetSet,
     Split,
+    _canonical,
     _displays_masks,
     _unique_separator,
     contract,
-    normalized_quartet,
 )
 
 DecideMode = Literal["fast", "oracle"]
@@ -152,6 +174,134 @@ def _oracle_displayers(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, .
     return walk()
 
 
+def _pairs(qs: QuartetSet) -> list[tuple[int, int]]:
+    """Each quartet of qs as its pair masks (p1, p2)."""
+    return [q.pair_masks() for q in qs.quartets]
+
+
+def _holding(pairs, x: int) -> list[tuple[int, int]]:
+    """The quartets, as pair masks, that hold leaf x."""
+    return [p for p in pairs if (p[0] | p[1]) >> x & 1]
+
+
+def _undistinguished_masks(masks: tuple[int, ...], pairs) -> list[int]:
+    """The splits in masks that are no quartet's unique separating edge.
+
+    The one edge-pinning check: a displayed quartet pins an edge when
+    that edge is the only one separating its two pairs.
+    """
+    pinned = {_unique_separator(masks, p1, p2) for p1, p2 in pairs}
+    return [m for m in masks if m not in pinned]
+
+
+def _close_pairs(pairs) -> set[tuple[int, int]]:
+    """Least fixpoint of the closure rule on quartets given as pair masks.
+
+    Each quartet is (p1, p2) in normal form: p1 holds its lowest leaf.
+    When two quartets have the same second pair and their first pairs
+    share exactly one leaf, the quartet joining the two unshared leaves
+    against that second pair is added: from ab|de and bc|de, ac|de.
+    """
+    present = set(pairs)
+    groups: dict[int, list[int]] = defaultdict(list)
+    work = sorted(present)
+    for p1, p2 in work:
+        groups[p2].append(p1)
+    i = 0
+    while i < len(work):
+        p1, p2 = work[i]
+        i += 1
+        for other in tuple(groups[p2]):
+            if (p1 & other).bit_count() != 1:
+                continue
+            joined = p1 ^ other
+            new = (joined, p2) if joined & -joined < p2 & -p2 else (p2, joined)
+            if new not in present:
+                present.add(new)
+                work.append(new)
+                groups[new[1]].append(new[0])
+    return present
+
+
+def _build(leaves: int, triples: list[tuple[int, int]]) -> list[int] | None:
+    """The clusters of the rooted tree BUILD grows on a leaf mask, or None.
+
+    Each triple (ab, c) is the mask of a pair ab that the triple puts in
+    a cluster without leaf c. BUILD links the two leaves of every pair
+    whose three leaves lie in the current cluster, and the connected
+    components become its children. None means some cluster of two or
+    more leaves stayed connected, so no rooted tree displays the triples.
+    """
+    clusters = []
+    stack = [(leaves, triples)]
+    while stack:
+        cluster, inside = stack.pop()
+        linked: dict[int, int] = defaultdict(int)
+        for ab, _ in inside:
+            linked[ab & -ab] |= ab
+            linked[ab & (ab - 1)] |= ab
+        parts = []
+        rest = cluster
+        while rest:
+            part = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = linked.get(low, 0) & ~part
+                part |= new
+                frontier |= new
+            parts.append(part)
+            rest ^= part
+        if len(parts) == 1:
+            return None
+        for part in parts:
+            if part & (part - 1):
+                clusters.append(part)
+                stack.append((part, [t for t in inside if not (t[0] | t[1]) & ~part]))
+    return clusters
+
+
+def _closure_certificate(qs: QuartetSet) -> tuple[int, ...] | str | None:
+    """Settle qs without a scan: the defined tree's masks, INCOMPATIBLE, or None.
+
+    For each leaf x, the closed quartets holding x are read as rooted
+    triples with root x (xa|bc becomes bc|a) and handed to BUILD. If
+    BUILD fails, no tree displays them, so none displays qs. If it
+    grows a binary tree T that displays qs, and x's own quartets pin
+    every edge of T, then those triples define T rooted at x and qs
+    defines T. None means no leaf settled it.
+    """
+    n = qs.leaves.n
+    full = (1 << n) - 1
+    pairs = _pairs(qs)
+    closed = _close_pairs(pairs)
+    for x in range(n):
+        bit = 1 << x
+        held = _holding(closed, x)
+        triples = [(p2, p1 ^ bit) if p1 & bit else (p1, p2 ^ bit) for p1, p2 in held]
+        clusters = _build(full ^ bit, triples)
+        if clusters is None:
+            return INCOMPATIBLE
+        if len(clusters) != n - 3:
+            continue
+        masks = tuple(_canonical(c, full) for c in clusters)
+        if _displays_masks(masks, pairs) and not _undistinguished_masks(masks, held):
+            return masks
+    return None
+
+
+def _binary_scan(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
+    """The pruned binary scan, the fallback when no certificate settles qs."""
+    try:
+        return _pruned_displayers(qs, "binary", cap)
+    except TooManyLeavesError as e:
+        raise TooManyLeavesError(
+            f"the closure certificate did not settle {len(qs)} quartets on "
+            f"{qs.leaves.n} leaves, and the binary scan it falls back on "
+            f"refuses them: {e}"
+        ) from None
+
+
 def displayers(
     qs: QuartetSet,
     leaves: LeafSet | None = None,
@@ -212,8 +362,10 @@ def defines(
     mention; a larger one must be requested explicitly. Oracle mode grows
     every tree (no degree-2 vertices), drops each one as soon as a quartet
     whose last leaf it has inserted is not displayed, and counts the
-    survivors; fast mode uses the binary scan plus the distinguished-edge
-    certificate. Both report through the same verdict type.
+    survivors; fast mode tries the closure certificate, then falls back on
+    the binary scan plus the distinguished-edge check. cap bounds the
+    scans only: a set the certificate settles is answered at any size.
+    Both modes report through the same verdict type.
     """
     if mode not in ("fast", "oracle"):
         raise QuartetError(f"mode must be 'fast' or 'oracle', got {mode!r}")
@@ -229,11 +381,13 @@ def defines(
         if count == 1:
             return DefinitivenessVerdict(DEFINES, examples[0], 1, examples, mode)
         return DefinitivenessVerdict(NOT_DEFINITIVE, None, count, examples, mode)
-    found: list[tuple[int, ...]] = []
-    for masks in _pruned_displayers(moved, "binary", cap):
-        found.append(masks)
-        if len(found) == 2:
-            break
+    settled = _closure_certificate(moved)
+    if settled == INCOMPATIBLE:
+        return DefinitivenessVerdict(INCOMPATIBLE, None, 0, (), mode)
+    if settled is not None:
+        tree = PhyloTree(ambient, settled)
+        return DefinitivenessVerdict(DEFINES, tree, None, (tree,), mode)
+    found = list(islice(_binary_scan(moved, cap), 2))
     if not found:
         # no binary displayer means no displayer at all: refining any
         # displayer to a binary tree preserves every displayed quartet
@@ -242,7 +396,7 @@ def defines(
         examples = tuple(PhyloTree(ambient, m) for m in found)
         return DefinitivenessVerdict(NOT_DEFINITIVE, None, None, examples, mode)
     tree = PhyloTree(ambient, found[0])
-    undistinguished = _undistinguished_masks(moved, tree)
+    undistinguished = _undistinguished_masks(tree.masks, _pairs(moved))
     if undistinguished:
         loose = Split(min(undistinguished), n)
         return DefinitivenessVerdict(
@@ -251,23 +405,10 @@ def defines(
     return DefinitivenessVerdict(DEFINES, tree, None, (tree,), mode)
 
 
-def _undistinguished_masks(qs: QuartetSet, tree: PhyloTree) -> list[int]:
-    masks = tree.masks
-    pinned = set()
-    for q in qs.sorted_quartets():
-        p1, p2 = q.pair_masks()
-        m = _unique_separator(masks, p1, p2)
-        if m is not None:
-            pinned.add(m)
-    return [m for m in masks if m not in pinned]
-
-
 def undistinguished_edges(qs: QuartetSet, tree: PhyloTree) -> tuple[Split, ...]:
     """Splits of the tree that are nobody's unique separating edge."""
-    moved = qs.translate(tree.leaves)
-    return tuple(
-        Split(m, tree.n) for m in _undistinguished_masks(moved, tree)
-    )
+    pairs = _pairs(qs.translate(tree.leaves))
+    return tuple(Split(m, tree.n) for m in _undistinguished_masks(tree.masks, pairs))
 
 
 def minimality_report(
@@ -280,7 +421,9 @@ def minimality_report(
     pinning it (contract it for a second displayer), or another tree
     displaying the rest is exhibited (the first such in stream order).
     Quartets whose removal keeps T defined are marked redundant, and the
-    set is minimal exactly when there are none.
+    set is minimal exactly when there are none. A removal is settled as
+    redundant without a scan when, in the closure of the rest, the
+    quartets holding one leaf pin every edge of T.
     """
     verdict = defines(qs, mode=mode, cap=cap)
     size = len(qs)
@@ -291,18 +434,28 @@ def minimality_report(
     ambient = tree.leaves
     moved = qs.translate(ambient)
     tree_masks = tree.masks
+    quartets = moved.sorted_quartets()
+    pairs = [q.pair_masks() for q in quartets]
     entries = []
     redundant = False
-    for q in moved.sorted_quartets():
-        rest = moved.without_quartet(q)
-        loose = _undistinguished_masks(rest, tree)
+    for i, q in enumerate(quartets):
+        rest_pairs = pairs[:i] + pairs[i + 1 :]
+        loose = _undistinguished_masks(tree_masks, rest_pairs)
         if loose:
             entries.append(
                 (q, RemovalWitness("undistinguished_edge", split=Split(min(loose), ambient.n)))
             )
             continue
+        closed = _close_pairs(rest_pairs)
+        if any(
+            not _undistinguished_masks(tree_masks, _holding(closed, x))
+            for x in range(ambient.n)
+        ):
+            entries.append((q, RemovalWitness("redundant")))
+            redundant = True
+            continue
         alternative = None
-        for masks in _pruned_displayers(rest, "binary", cap):
+        for masks in _binary_scan(moved.without_quartet(q), cap):
             if masks != tree_masks:
                 alternative = masks
                 break
@@ -351,53 +504,37 @@ def inference_closure(qs: QuartetSet) -> QuartetSet:
     only on the normalized second pair, so it adds strictly less than
     the full semantic consequence set.
     """
-    present = set(qs.quartets)
-    groups: dict[tuple[int, int], list[Quartet]] = defaultdict(list)
-    work = sorted(present)
-    for q in work:
-        groups[(q.c, q.d)].append(q)
-    i = 0
-    while i < len(work):
-        q = work[i]
-        i += 1
-        far = (q.c, q.d)
-        for other in list(groups[far]):
-            if other == q:
-                continue
-            shared = {q.a, q.b} & {other.a, other.b}
-            if len(shared) != 1:
-                continue
-            x, y = sorted(({q.a, q.b} | {other.a, other.b}) - shared)
-            new = normalized_quartet(x, y, far[0], far[1])
-            if new not in present:
-                present.add(new)
-                work.append(new)
-                groups[(new.c, new.d)].append(new)
-    return QuartetSet(qs.leaves, frozenset(present))
+
+    def quartet(p1: int, p2: int) -> Quartet:
+        a, c = ((m & -m).bit_length() - 1 for m in (p1, p2))
+        return Quartet(a, p1.bit_length() - 1, c, p2.bit_length() - 1)
+
+    closed = _close_pairs(q.pair_masks() for q in qs.quartets)
+    return QuartetSet(qs.leaves, frozenset(quartet(*p) for p in closed))
 
 
 def common_leaf_certificate(qs: QuartetSet, tree: PhyloTree) -> bool:
     """Sufficient condition for qs to define the tree, checked directly.
 
-    True when some leaf occurs in every quartet, the tree displays every
-    quartet, and every edge of the tree is the unique separating edge of
-    some quartet. The three conditions together force the tree to be the
-    only displayer on these leaves.
+    True when the tree is binary, some leaf occurs in every quartet, the
+    tree displays every quartet, and every edge of the tree is the unique
+    separating edge of some quartet. Read with that leaf as the root, the
+    quartets are rooted triples that define the tree, so it is the only
+    displayer on these leaves. A non-binary tree is never defined: each
+    of its refinements displays everything it displays.
     """
     moved = qs.translate(tree.leaves)
     if set(moved.support_labels()) != set(tree.leaves.labels):
         raise AmbientMismatchError(
             "certificate applies when the quartets use exactly the tree's leaves"
         )
-    common = None
-    pairs = []
-    for q in moved.sorted_quartets():
-        used = set(q.indices())
-        common = used if common is None else (common & used)
-        pairs.append(q.pair_masks())
-    if not common:
-        return False
-    masks = tree.masks
-    if not _displays_masks(masks, pairs):
-        return False
-    return not _undistinguished_masks(moved, tree)
+    pairs = _pairs(moved)
+    common = tree.leaves.full_mask()
+    for p1, p2 in pairs:
+        common &= p1 | p2
+    return (
+        tree.is_binary()
+        and common != 0
+        and _displays_masks(tree.masks, pairs)
+        and not _undistinguished_masks(tree.masks, pairs)
+    )

@@ -136,11 +136,16 @@ def run_search(
         if settled is None:
             continue
         report = minimality_report(settled, mode="fast", cap=cap)
-        while report.verdict.is_definitive and report.minimal is False:
-            extra = next(
-                q for q, w in report.entries if w.kind == "redundant"
-            )
-            settled = settled.without_quartet(extra)
+        if report.minimal is False:
+            # one pass suffices: a quartet needed in a set stays needed in
+            # every subset, since a second displayer of S minus q also
+            # displays each smaller set minus q
+            tree = report.verdict.tree
+            for q, w in report.entries:
+                if w.kind == "redundant":
+                    rest = settled.without_quartet(q)
+                    if defines(rest, mode="fast", cap=cap).tree == tree:
+                        settled = rest
             report = minimality_report(settled, mode="fast", cap=cap)
         if not (report.verdict.is_definitive and report.minimal):
             continue

@@ -9,6 +9,7 @@ import oracles
 from conftest import qset, quartet_set_from_indices
 from quartets import (
     AmbientMismatchError,
+    TooManyLeavesError,
     DEFINES,
     INCOMPATIBLE,
     NOT_DEFINITIVE,
@@ -27,10 +28,13 @@ from quartets import (
     minimal_definitive_set,
     minimality_report,
     normalized_quartet,
+    parse_newick,
+    parse_quartet_file,
     relabel,
     semantic_infers,
     undistinguished_edges,
 )
+from quartets import decide
 from quartets.enumeration import _children
 
 
@@ -291,6 +295,13 @@ class TestCommonLeafCertificate:
         qs = qset(leaves6, (1, 3, 2, 5), (1, 3, 4, 6), (1, 4, 5, 6))
         assert not common_leaf_certificate(qs, t6)
 
+    def test_non_binary_tree_fails(self):
+        # every quartet holds 1 and pins the tree's one edge, but the
+        # tree's three binary refinements display both quartets too
+        qs = parse_quartet_file("1,2|3,4\n1,2|3,5\n")
+        assert not common_leaf_certificate(qs, parse_newick("((1,2),3,4,5);"))
+        assert defines(qs, mode="oracle").displayer_count == 4
+
 
 class TestUndistinguishedEdges:
     def test_complete_set_pins_everything(self, q6, t6):
@@ -467,3 +478,119 @@ class TestRelabelInvariance:
         if n <= 7:
             count = defines(qs, mode="oracle").displayer_count
             assert defines(moved, mode="oracle").displayer_count == count
+
+
+class TestClosureCertificate:
+    """The route fast defines tries before the scan: sound, and enough for
+    the construction at every size (ROADMAP items 1 and 2)."""
+
+    @staticmethod
+    def _inputs():
+        """Random sets on 5-7 leaves, then the three oracle-check kinds on
+        5-8: samples of a random binary tree, samples plus a quartet the
+        tree does not display, and the construction minus one quartet."""
+        for n in (5, 6, 7):
+            ls = integer_leaves(n)
+            for rows in oracles.random_index_sets(n, 80, seed=300 + n):
+                yield quartet_set_from_indices(ls, rows)
+        rng = random.Random(2011)
+        for n in (5, 6, 7, 8):
+            ls = integer_leaves(n)
+            for _ in range(40):
+                tree = _random_binary_tree(rng, n)
+                quartets = set()
+                for _ in range(rng.randint(1, 3 * n)):
+                    four = _resolutions(rng.sample(range(n), 4))
+                    quartets.update(q for q in four if displays(tree, q))
+                yield QuartetSet(ls, frozenset(quartets))
+                four = _resolutions(rng.sample(range(n), 4))
+                conflict = next(q for q in four if not displays(tree, q))
+                yield QuartetSet(ls, frozenset(quartets | {conflict}))
+        for n in (6, 7, 8):
+            qs = minimal_definitive_set(n)
+            for q in qs.sorted_quartets():
+                yield qs.without_quartet(q)
+
+    def test_every_answer_matches_the_oracle(self):
+        statuses, certified = set(), set()
+        for qs in self._inputs():
+            oracle = defines(qs, qs.leaves, mode="oracle", allow_larger_ambient=True)
+            statuses.add(oracle.status)
+            settled = decide._closure_certificate(qs)
+            if settled == INCOMPATIBLE:
+                assert oracle.status == INCOMPATIBLE
+                certified.add(INCOMPATIBLE)
+            elif settled is not None:
+                assert oracle.is_definitive
+                assert PhyloTree(qs.leaves, settled) == oracle.tree
+                certified.add(DEFINES)
+        assert statuses == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
+        assert certified == {DEFINES, INCOMPATIBLE}
+
+    def test_the_scan_never_runs_on_the_construction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the binary scan ran")
+
+        monkeypatch.setattr(decide, "_pruned_displayers", refuse)
+        for n in range(6, 65):
+            v = defines(minimal_definitive_set(n))
+            assert v.is_definitive and v.tree == caterpillar(n)
+
+    @pytest.mark.parametrize("n", [8, 12, 20])
+    def test_redundancy_is_settled_without_a_scan(self, n, monkeypatch):
+        # every quartet the closure adds to the construction is redundant
+        def refuse(*args):
+            raise AssertionError("the binary scan ran")
+
+        monkeypatch.setattr(decide, "_pruned_displayers", refuse)
+        qs = inference_closure(minimal_definitive_set(n))
+        report = minimality_report(qs)
+        kinds = [w.kind for _, w in report.entries]
+        assert kinds.count("redundant") == len(qs) - 2
+        assert kinds.count("undistinguished_edge") == 2
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_dropping_a_quartet_defeats_it(self, n):
+        qs = minimal_definitive_set(n)
+        for q in qs.sorted_quartets():
+            assert decide._closure_certificate(qs.without_quartet(q)) is None
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_swapping_two_leaves_defeats_it(self, n):
+        # the certificate settles a swapped set only for the swapped tree,
+        # which is the target only when the two leaves form a cherry; the
+        # closure rule reads the leaf order, so some swaps go unsettled
+        qs = minimal_definitive_set(n)
+        target = caterpillar(n)
+        labels = qs.leaves.labels
+        settled_count = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                sigma = dict(zip(labels, labels))
+                sigma[labels[i]], sigma[labels[j]] = labels[j], labels[i]
+                settled = decide._closure_certificate(relabel(qs, sigma))
+                if settled is None:
+                    continue
+                settled_count += 1
+                tree = PhyloTree(qs.leaves, settled)
+                assert tree == relabel(target, sigma)
+                assert (tree == target) == ((i, j) in ((0, 1), (n - 2, n - 1)))
+        assert settled_count >= n
+
+
+class TestScanCap:
+    """The cap bounds only the binary scan, not the certificate."""
+
+    @pytest.mark.parametrize("n", [13, 20, 30, 64])
+    def test_construction_is_defined_past_the_cap(self, n):
+        v = defines(minimal_definitive_set(n))
+        assert v.status == DEFINES and v.tree == caterpillar(n)
+
+    def test_unsettled_set_names_the_certificate_and_the_cap(self):
+        qs = minimal_definitive_set(13)
+        rest = qs.without_quartet(qs.sorted_quartets()[0])
+        with pytest.raises(TooManyLeavesError) as info:
+            defines(rest)
+        message = str(info.value)
+        assert "closure certificate did not settle" in message
+        assert "cap 12" in message
