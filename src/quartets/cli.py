@@ -22,16 +22,15 @@ from .decide import (
     minimality_report,
     semantic_infers,
 )
-from .enumeration import count_trees, enumerate_trees
+from .enumeration import ALL_CAP, count_trees, enumerate_trees
 from .errors import QuartetError
 from .model import LeafSet, integer_leaves, make_quartet, displays, natural_key
 from .newick import parse_newick, serialize_newick
 from .quartetfile import parse_quartet_file, parse_quartet_text, serialize_quartet_set
 from .search import run_search
 
-# command-line default enumeration ceilings, tighter than the library's
+# command-line default binary enumeration ceiling, tighter than the library's
 _CLI_BINARY_CAP = 10
-_CLI_ALL_CAP = 9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,7 +135,7 @@ def _cmd_enumerate(args) -> int:
     mode = "binary" if args.binary else "all"
     cap = args.cap
     if cap is None:
-        cap = _CLI_BINARY_CAP if mode == "binary" else _CLI_ALL_CAP
+        cap = _CLI_BINARY_CAP if mode == "binary" else ALL_CAP
     if args.count_only:
         print(count_trees(args.n, mode, cap=cap))
         return 0
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "search",
-        help="random search for small minimal definitive sets",
+        help="random search for minimal definitive sets of at least a target size",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target-size", type=int, required=True)

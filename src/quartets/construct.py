@@ -7,23 +7,26 @@ defined by a two-step recursion: carry most of the previous level over
 unchanged, bump the highest leaf in its last two quartets, then add two
 fresh quartets anchoring the new cherry.
 
-Minimality is established constructively: for each quartet q_i a witness
-tree is produced that displays everything except q_i yet differs from
-the target, so no quartet can be dropped. The witnesses are themselves
-built recursively (cherry replacement carries a witness up one level,
-one new witness is a leaf-reversed copy of an earlier one, one comes
-from contracting the edge left loose). Every witness is checked on the
-spot and a WitnessCheckError means the construction is broken, never
-that the caller misused it.
+Minimality is established constructively, and the verifier uses no
+other proof: for each quartet q_i a witness tree is produced that
+displays everything except q_i yet differs from the target, so no
+quartet can be dropped. From level 7 up the witnesses are built
+recursively (cherry replacement carries a witness up one level, one new
+witness is a leaf-reversed copy of an earlier one, one comes from
+contracting the edge left loose); at levels 5 and 6 every witness but
+one is such a contraction. Every witness is checked on the spot and a
+WitnessCheckError means the construction is broken, never that the
+caller misused it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decide import _undistinguished_masks, defines, minimality_report
-from .errors import TooFewLeavesError, WitnessCheckError
+from .decide import _undistinguished_masks, defines
+from .errors import TooFewLeavesError, TooManyLeavesError, WitnessCheckError
 from .model import (
+    MAX_LEAVES,
     LeafSet,
     PhyloTree,
     Quartet,
@@ -115,7 +118,7 @@ class WitnessChain:
         return dict(self.entries)[i]
 
 
-def _loose_edge_witness(level: int, rest: list[Quartet], tree: PhyloTree) -> PhyloTree:
+def _loose_edge_witness(level: int, rest: tuple[Quartet, ...], tree: PhyloTree) -> PhyloTree:
     loose = _undistinguished_masks(tree.masks, [q.pair_masks() for q in rest])
     if not loose:
         raise WitnessCheckError(
@@ -152,34 +155,35 @@ def _validate_level(
 
 
 def witness_chain(k: int) -> WitnessChain:
-    """Witness trees for levels 6 up to k, validated at every level.
+    """Witness trees for levels 5 up to k, validated at every level.
 
     Witness i displays the whole level sequence except its i-th quartet
-    and is not the target caterpillar, so removing any quartet breaks
+    and is not the target tree, so removing any quartet breaks
     definitiveness. A WitnessCheckError carries the level that failed;
-    every level below it validated.
+    every level below it validated. k past MAX_LEAVES fails up front.
     """
-    if k < 6:
-        raise TooFewLeavesError("the witness chain starts at six leaves")
-    seq = minimal_definitive_sequence(6)
-    target = caterpillar(6)
+    if k < 5:
+        raise TooFewLeavesError("the witness chain starts at five leaves")
+    if k > MAX_LEAVES:
+        raise TooManyLeavesError(f"{k} leaves exceeds the {MAX_LEAVES}-leaf cap")
     witnesses: dict[int, PhyloTree] = {}
-    for i in (1, 2, 4):
-        rest = [q for j, q in enumerate(seq, start=1) if j != i]
-        witnesses[i] = _loose_edge_witness(6, rest, target)
-    witnesses[3] = caterpillar_from_order([2, 4, 6, 1, 5, 3])
-    _validate_level(6, seq, witnesses, target)
-    for level in range(7, k + 1):
-        prev = witnesses
+    for level in range(5, k + 1):
         seq = minimal_definitive_sequence(level)
-        target = caterpillar(level)
+        target = target_tree(level)
         size = 2 * level - 8
-        witnesses = {}
-        for i in range(1, size - 1):
-            witnesses[i] = cherry_replace(prev[i], level - 1, level)
-        witnesses[size - 1] = reverse(witnesses[3])
-        rest = list(seq[:-1])
-        witnesses[size] = _loose_edge_witness(level, rest, target)
+        if level == 6:
+            witnesses = {3: caterpillar_from_order([2, 4, 6, 1, 5, 3])}
+        elif level > 6:
+            prev = witnesses
+            witnesses = {}
+            for i in range(1, size - 1):
+                witnesses[i] = cherry_replace(prev[i], level - 1, level)
+            witnesses[size - 1] = reverse(witnesses[3])
+        # every other quartet is the only one pinning some target edge
+        for i in range(1, size + 1):
+            if i not in witnesses:
+                rest = seq[: i - 1] + seq[i:]
+                witnesses[i] = _loose_edge_witness(level, rest, target)
         _validate_level(level, seq, witnesses, target)
     return WitnessChain(k, tuple(sorted(witnesses.items())))
 
@@ -224,19 +228,20 @@ def verify_construction(
 
     Per level: the size is 2n-8, the target displays the set, fast mode
     finds the set definitive with the target as the unique tree, the set
-    is minimal, the witness chain validates (n >= 6), and up to
-    oracle_max_n the exhaustive oracle agrees. cap applies to the fast
-    and the oracle checks alike. The chain is built once, up to max_n:
-    a failure at one level fails that level and every level above it.
+    is minimal (it defines the target and the witness chain gives every
+    quartet a witness, so no scan runs), the chain validates (reported
+    from n = 6), and up to oracle_max_n the exhaustive oracle agrees.
+    cap bounds the oracle and any scan fast mode falls back on. The
+    chain is built once, up to max_n: a failure at one level fails that
+    level and every level above it.
     """
     if max_n < 5:
         raise TooFewLeavesError("verification starts at five leaves")
     chain_fails_from = max_n + 1
-    if max_n >= 6:
-        try:
-            witness_chain(max_n)
-        except WitnessCheckError as e:
-            chain_fails_from = e.level
+    try:
+        witness_chain(max_n)
+    except WitnessCheckError as e:
+        chain_fails_from = e.level
     levels = []
     for n in range(5, max_n + 1):
         qs = minimal_definitive_set(n)
@@ -246,12 +251,10 @@ def verify_construction(
         checks.append(
             ("displays_target", all(displays(target, q) for q in qs))
         )
-        report = minimality_report(qs, mode="fast", cap=cap)
-        fast = report.verdict
-        checks.append(
-            ("fast_defines_target", fast.is_definitive and fast.tree == target)
-        )
-        checks.append(("minimal", report.minimal is True))
+        fast = defines(qs, mode="fast", cap=cap)
+        defined = fast.is_definitive and fast.tree == target
+        checks.append(("fast_defines_target", defined))
+        checks.append(("minimal", defined and n < chain_fails_from))
         if n >= 6:
             checks.append(("witness_chain", n < chain_fails_from))
         if n <= oracle_max_n:

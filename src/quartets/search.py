@@ -1,4 +1,4 @@
-"""Randomized search for small minimal definitive quartet sets.
+"""Randomized search for minimal definitive quartet sets of a target size or more.
 
 Minimal definitive sets larger than the 2n-8 construction exist (size 7
 on 7 leaves, 11 on 8), but the maximum size for a given n is not known

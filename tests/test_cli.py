@@ -200,6 +200,14 @@ class TestVerifyTheorem:
         assert all(level["ok"] for level in payload["levels"])
         assert payload["levels"][-1]["checks"]["witness_chain"] is True
 
+    def test_past_the_scan_cap(self):
+        out = run("verify-theorem", "--max-n", "13")
+        assert out.returncode == 0
+        lines = out.stdout.splitlines()
+        assert lines[-1] == "result: all levels pass"
+        for n in range(5, 14):
+            assert any(line.startswith(f"n={n}: pass") for line in lines)
+
     def test_too_small(self):
         out = run("verify-theorem", "--max-n", "4")
         assert out.returncode == 2

@@ -26,7 +26,7 @@ from quartets import (
     verify_construction,
     witness_chain,
 )
-from quartets import construct
+from quartets import construct, decide
 
 
 def texts(n):
@@ -186,7 +186,7 @@ class TestWitnessChain:
         t_tprime = witness_chain(7).witness(5)
         assert {s.mask for s in t_tprime.splits} == {40, 124, 84, 20}
 
-    @pytest.mark.parametrize("k", range(6, 9))
+    @pytest.mark.parametrize("k", range(5, 9))
     def test_every_witness_witnesses(self, k):
         # witness i displays everything except quartet i
         qs = minimal_definitive_set(k)
@@ -208,10 +208,10 @@ class TestWitnessChain:
 
     def test_loose_edge_failure_names_its_level(self, monkeypatch):
         # with every edge pinned there is no loose edge to contract
-        monkeypatch.setattr(construct, "_undistinguished_masks", lambda qs, tree: [])
+        monkeypatch.setattr(construct, "_undistinguished_masks", lambda masks, pairs: [])
         with pytest.raises(WitnessCheckError) as info:
             witness_chain(7)
-        assert info.value.level == 6
+        assert info.value.level == 5
 
     @pytest.mark.parametrize("i, missed", [(1, "1,3|4,6"), (2, "1,2|3,5")])
     def test_display_failure_names_the_first_missed_quartet(self, i, missed):
@@ -225,7 +225,25 @@ class TestWitnessChain:
 
     def test_too_few(self):
         with pytest.raises(TooFewLeavesError):
-            witness_chain(5)
+            witness_chain(4)
+
+    def test_five_leaf_base_contracts_the_loose_edges(self):
+        chain = witness_chain(5)
+        leaves = integer_leaves(5)
+        assert {i: [s.text(leaves) for s in w.splits] for i, w in chain.entries} == {
+            1: ["1,2,4|3,5"],
+            2: ["1,2|3,4,5"],
+        }
+
+    def test_past_the_leaf_cap_fails_before_any_level(self, monkeypatch):
+        def no_level(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(construct, "_validate_level", no_level)
+        with pytest.raises(TooManyLeavesError):
+            witness_chain(65)
+        with pytest.raises(TooManyLeavesError):
+            verify_construction(65)
 
 
 class TestVerifyConstruction:
@@ -254,9 +272,21 @@ class TestVerifyConstruction:
         } == set(names)
         assert all(names.values())
 
-    def test_cap_reaches_the_fast_checks(self):
+    def test_cap_reaches_the_oracle(self):
         with pytest.raises(TooManyLeavesError):
-            verify_construction(9, oracle_max_n=5, cap=8)
+            verify_construction(9, oracle_max_n=9, cap=8)
+
+    def test_minimality_needs_no_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the binary scan ran")
+
+        monkeypatch.setattr(decide, "_pruned_displayers", no_scan)
+        assert verify_construction(12, oracle_max_n=5).all_ok
+
+    def test_past_the_old_scan_ceiling(self):
+        report = verify_construction(30, oracle_max_n=5)
+        assert [lv.n for lv in report.levels] == list(range(5, 31))
+        assert report.all_ok
 
     def test_witness_chain_is_walked_once(self, monkeypatch):
         calls = []
@@ -283,6 +313,8 @@ class TestVerifyConstruction:
         checks = {lv.n: dict(lv.checks) for lv in report.levels}
         chain = {n: c.pop("witness_chain") for n, c in checks.items() if n >= 6}
         assert chain == {6: True, 7: True, 8: False, 9: False, 10: False}
+        minimal = {n: c.pop("minimal") for n, c in checks.items()}
+        assert minimal == {5: True, 6: True, 7: True, 8: False, 9: False, 10: False}
         assert all(all(c.values()) for c in checks.values())
 
     def test_too_small(self):
@@ -291,7 +323,8 @@ class TestVerifyConstruction:
 
 
 class TestMinimalityOfTheFamily:
-    @pytest.mark.parametrize("n", range(5, 9))
+    # the scan-based reference for the verifier's witness-chain minimality
+    @pytest.mark.parametrize("n", range(5, 13))
     def test_family_member_is_minimal_and_definitive(self, n):
         qs = minimal_definitive_set(n)
         report = minimality_report(qs)
