@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decide import _undistinguished_masks, defines
-from .errors import TooFewLeavesError, TooManyLeavesError, WitnessCheckError
+from .errors import TooFewLeavesError, WitnessCheckError
 from .model import (
-    MAX_LEAVES,
     LeafSet,
     PhyloTree,
     Quartet,
@@ -160,12 +159,12 @@ def witness_chain(k: int) -> WitnessChain:
     Witness i displays the whole level sequence except its i-th quartet
     and is not the target tree, so removing any quartet breaks
     definitiveness. A WitnessCheckError carries the level that failed;
-    every level below it validated. k past MAX_LEAVES fails up front.
+    every level below it validated. k past model.MAX_LEAVES fails up
+    front, with the model's TooManyLeavesError.
     """
     if k < 5:
         raise TooFewLeavesError("the witness chain starts at five leaves")
-    if k > MAX_LEAVES:
-        raise TooManyLeavesError(f"{k} leaves exceeds the {MAX_LEAVES}-leaf cap")
+    integer_leaves(k)  # the model's leaf cap, checked before any level
     witnesses: dict[int, PhyloTree] = {}
     for level in range(5, k + 1):
         seq = minimal_definitive_sequence(level)
