@@ -24,7 +24,7 @@ from .decide import (
 )
 from .enumeration import ALL_CAP, count_trees, enumerate_trees
 from .errors import QuartetError
-from .model import LeafSet, integer_leaves, make_quartet, displays, natural_key
+from .model import LeafSet, integer_leaves, make_quartet, displays
 from .newick import parse_newick, serialize_newick
 from .quartetfile import parse_quartet_file, parse_quartet_text, serialize_quartet_set
 from .search import run_search
@@ -150,8 +150,7 @@ def _cmd_infer(args) -> int:
         sys.stdout.write(serialize_quartet_set(inference_closure(qs)))
         return 0
     four = parse_quartet_text(args.query)
-    union = sorted(set(qs.leaves.labels) | set(four), key=natural_key)
-    ambient = LeafSet.from_labels(union)
+    ambient = LeafSet.from_labels(set(qs.leaves.labels) | set(four))
     moved = qs.translate(ambient)
     q = make_quartet(ambient, *four)
     if args.semantic:

@@ -40,12 +40,10 @@ uses the same edge-pinning check on Q minus q and its known tree, and
 marks q redundant without a scan when one leaf's closed quartets pin
 every edge. The scan cap bounds only the scan.
 
-The fast scan also prunes before it builds. Leaf k goes only where the
-child displays every quartet xy|zk whose largest leaf is k: strictly
-inside S*, the z-side of the edge next to the x,y,z median in the
-parent. Every other position puts k on x's or y's branch or at the
-median. So the rule drops no displayer and admits no extra one, and the
-survivors keep their stream order.
+The binary scan prunes before it builds: leaf k goes only into edges
+where the child displays every quartet whose largest leaf is k
+(enumeration._stream_masks gives the argument). All-tree displayers
+come from the oracle walk alone.
 """
 
 from __future__ import annotations
@@ -137,12 +135,11 @@ def _level_quartets(qs: QuartetSet) -> dict[int, list[tuple[int, int]]]:
     return dict(levels)
 
 
-def _pruned_displayers(
-    qs: QuartetSet, mode: Mode, cap: int | None
-) -> Iterator[tuple[int, ...]]:
+def _pruned_displayers(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
+    """Every binary tree on qs's leaves displaying all of qs, in stream order."""
     n = qs.leaves.n
-    _check_size(n, mode, cap)
-    return _stream_masks(n, mode, _level_quartets(qs))
+    _check_size(n, "binary", cap)
+    return _stream_masks(n, "binary", _level_quartets(qs))
 
 
 def _oracle_displayers(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
@@ -293,7 +290,7 @@ def _closure_certificate(qs: QuartetSet) -> tuple[int, ...] | str | None:
 def _binary_scan(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
     """The pruned binary scan, the fallback when no certificate settles qs."""
     try:
-        return _pruned_displayers(qs, "binary", cap)
+        return _pruned_displayers(qs, cap)
     except TooManyLeavesError as e:
         raise TooManyLeavesError(
             f"the closure certificate did not settle {len(qs)} quartets on "
@@ -315,13 +312,18 @@ def displayers(
     leaves defaults to the quartet set's own ambient leaf set and may be
     any superset of the leaves actually mentioned. limit, when given,
     must be at least 0 and truncates the result to that many displayers.
+    "all" mode reads the oracle walk; "binary" mode reads the pruned
+    binary scan.
     """
     _check_mode(mode)
     if limit is not None and limit < 0:
         raise QuartetError(f"limit must be at least 0, got {limit}")
     ambient = leaves if leaves is not None else qs.leaves
     moved = qs.translate(ambient)
-    stream = _pruned_displayers(moved, mode, cap)
+    if mode == "all":
+        stream = _oracle_displayers(moved, cap)
+    else:
+        stream = _pruned_displayers(moved, cap)
     return [PhyloTree(ambient, masks) for masks in islice(stream, limit)]
 
 

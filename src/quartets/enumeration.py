@@ -20,13 +20,9 @@ Insertion positions are scanned in a fixed order (edge masks ascending,
 then the root-end vertex, then per-split vertices by ascending mask), so
 the stream order is deterministic and restarting reproduces it.
 
-A pruned stream keeps only the trees displaying given quartets. Each
-quartet is checked at the level k of its largest leaf, where it reads
-xy|zk. Leaf k is inserted only at positions strictly inside S*, the
-z-side of the parent's edge next to the x,y,z median: exactly those give
-a child displaying xy|zk, and later insertions never change the topology
-on leaves already present. So no displayer is dropped, none is added,
-and the survivors keep their order in the full stream.
+A binary stream can be pruned to the trees displaying given quartets;
+_stream_masks states why the pruning is exact. All-tree displayers come
+from the oracle walk in decide, which tests every child instead.
 """
 
 from __future__ import annotations
@@ -67,19 +63,17 @@ def _children(
     all_mode: bool,
     need: Sequence[tuple[int, int]] = (),
 ) -> list[tuple[int, ...]]:
-    """The trees obtained by inserting leaf k, in canonical position order,
-    keeping only those that display every quartet xy|zk in need, given as
-    (1<<z, xy mask).
+    """The trees obtained by inserting leaf k, in canonical position order.
 
-    Positions are filtered first and only the admissible ones are built.
+    need, given as (1<<z, xy mask) per quartet xy|zk, keeps only the edges
+    whose child displays all of them; it is for binary insertion only.
+    Edges are filtered first and only the admissible ones are built.
     """
     bitk = 1 << k
     full = bitk - 1
     hi = k - 1  # largest nontrivial side size after insertion
     # full - 1 is leaf 0's pendant edge, canonical side is everyone else
     edges = sorted([1 << v for v in range(1, k)] + [full - 1] + list(splits))
-    vertices = splits if all_mode else ()
-    root = all_mode
     for z, xy in need:
         # S*: z's pendant side plus every split side holding z but not x, y;
         # every other pendant edge has x or y on its z-side
@@ -91,15 +85,7 @@ def _children(
         out = full ^ star
         # an edge is admissible iff one of its sides lies inside S*
         edges = [u for u in edges if not u & out or u & out == out]
-        # a vertex must lie in S* and not be the median: below edge S* when
-        # leaf 0 is outside S*, otherwise anywhere off the median's subtree
-        if star & 1:
-            vertices = [v for v in vertices if v & star]
-            root = root and star != 1
-        else:
-            vertices = [v for v in vertices if not v & out]
-            root = False
-        if not (edges or vertices or root):
+        if not edges:
             return []
     children = []
     for u in edges:
@@ -115,10 +101,10 @@ def _children(
             child.append(w)
         child.sort()
         children.append(tuple(child))
-    if root:
+    if all_mode:
         children.append(splits)  # attach beside leaf 0's neighbour, nothing moves
-    for v in vertices:
-        children.append(tuple(sorted(m | bitk if v & ~m == 0 else m for m in splits)))
+        for v in splits:
+            children.append(tuple(sorted(m | bitk if v & ~m == 0 else m for m in splits)))
     return children
 
 
@@ -129,22 +115,23 @@ def _stream_masks(
 ) -> Iterator[tuple[int, ...]]:
     """Yield split-mask tuples of every tree on leaf indices 0..n-1.
 
-    level_quartets optionally prunes: for each level k it lists the
-    quartets xy|zk whose largest leaf is k, as (1<<z, xy mask), and leaf k
-    is inserted only where the child displays all of them. The positions
-    are chosen on the parent, before any child is built. In the parent on
-    0..k-1 let m be the median of x, y and z, and S* the leaves of the
-    component of the tree minus m that holds z. S* is the union of the
-    edge sides holding z but neither x nor y, because those are the
-    nested z-sides of the edges on the path from m to z. The child
-    displays xy|zk exactly when k attaches strictly inside that component:
-    at an edge with one side inside S*, or at a vertex other than m there.
-    Any other position puts k on x's or y's branch or at m, where x, y, z,
-    k induce xk|yz, yk|xz or the star. Insertions never change the
-    topology induced on existing leaves, so a quartet's status is frozen
-    once its last leaf is in, and pruning drops no displayer, admits no
-    extra one, and keeps the survivors in stream order.
+    level_quartets optionally prunes a binary stream: for each level k it
+    lists the quartets xy|zk whose largest leaf is k, as (1<<z, xy mask),
+    and leaf k goes only into edges where the child displays all of them.
+    The edges are chosen on the parent, before any child is built. In the
+    parent on 0..k-1 let m be the median of x, y and z, and S* the leaves
+    of the component of the tree minus m that holds z. S* is the union of
+    the edge sides holding z but neither x nor y, because those are the
+    nested z-sides of the edges on the path from m to z. Subdividing an
+    edge with one side inside S* hangs k in that component, so the child
+    displays xy|zk; any other edge puts k on x's or y's branch, where x,
+    y, z, k induce xk|yz or yk|xz. Insertions never change the topology
+    induced on existing leaves, so a quartet's status is frozen once its
+    last leaf is in, and pruning drops no displayer, admits no extra one,
+    and keeps the survivors in stream order.
     """
+    if level_quartets and mode != "binary":
+        raise QuartetError("quartet pruning runs on the binary stream only")
     all_mode = mode == "all"
     if n == 3:
         yield ()

@@ -64,9 +64,9 @@ def _as_label(x: Label) -> str:
 class LeafSet:
     """Ordered set of distinct leaf labels with dense indices 0..n-1.
 
-    Labels are kept sorted under natural_key, so for integer-style labels
-    the index order agrees with numeric order and index 0 is the smallest
-    label.
+    Labels are stored sorted under natural_key, whatever order they are
+    given in, so for integer-style labels the index order agrees with
+    numeric order and index 0 is the smallest label.
     """
 
     labels: tuple[str, ...]
@@ -81,13 +81,13 @@ class LeafSet:
             raise TooManyLeavesError(
                 f"{len(self.labels)} leaves exceeds the {MAX_LEAVES}-leaf cap"
             )
-        if list(self.labels) != sorted(self.labels, key=natural_key):
-            raise QuartetError("labels must be in canonical order; use from_labels")
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
+        labels = tuple(sorted(self.labels, key=natural_key))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
 
     @classmethod
     def from_labels(cls, labels: Iterable[Label]) -> "LeafSet":
-        return cls(tuple(sorted((_as_label(l) for l in labels), key=natural_key)))
+        return cls(tuple(_as_label(l) for l in labels))
 
     @property
     def n(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 
 from .errors import DuplicateLeafError, ParseError, QuartetError
-from .model import LeafSet, QuartetSet, make_quartet, natural_key
+from .model import LeafSet, QuartetSet, make_quartet
 
 log = logging.getLogger("quartets.quartetfile")
 
@@ -56,8 +56,7 @@ def parse_quartet_file(text: str) -> QuartetSet:
             rows.append((lineno, parsed))
     if not rows:
         raise ParseError("no quartets in input")
-    used = sorted({label for _, four in rows for label in four}, key=natural_key)
-    leaves = LeafSet.from_labels(used)
+    leaves = LeafSet.from_labels({label for _, four in rows for label in four})
     first_seen: dict = {}
     for lineno, four in rows:
         try:

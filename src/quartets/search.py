@@ -61,8 +61,12 @@ def _random_quartet_over(rng: random.Random, members: list[int]) -> Quartet:
 
 def _pick_separator(
     rng: random.Random, n: int, mask: int, avoid_tree: PhyloTree
-) -> Quartet | None:
-    """A quartet split by `mask`, preferring one the given tree fails to display."""
+) -> Quartet:
+    """A quartet split by `mask`, preferring one the given tree fails to display.
+
+    mask is a nontrivial split, so both sides have two leaves to draw and
+    the first draw is always there to fall back on.
+    """
     inside = [v for v in range(n) if (mask >> v) & 1]
     outside = [v for v in range(n) if not (mask >> v) & 1]
     fallback = None
@@ -126,7 +130,7 @@ def run_search(
                 if gap:
                     edge = rng.choice(gap)
                     q = _pick_separator(rng, n, edge, second)
-                    if q is not None and q not in chosen:
+                    if q not in chosen:
                         chosen.add(q)
                         continue
             # incompatible, or no useful edge: shake one quartet loose
@@ -150,8 +154,6 @@ def run_search(
         if not (report.verdict.is_definitive and report.minimal):
             continue
         if report.size < target_size:
-            continue
-        if settled.support_mask() != full:
             continue
         key = frozenset(settled.quartets)
         if key in seen:

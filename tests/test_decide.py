@@ -383,6 +383,11 @@ class TestOracleReference:
             if v.is_definitive:
                 assert _sides(v.tree) == expected[0]
             statuses.add(v.status)
+            # the public lists, as split sides, are the reference's trees
+            resolved = [s for s in expected if len(s) == n - 3]
+            for mode, want in (("all", expected), ("binary", resolved)):
+                found = [_sides(t) for t in displayers(qs, leaves=ls, mode=mode)]
+                assert len(found) == len(want) and set(found) == set(want)
         assert statuses == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
 
 

@@ -35,6 +35,7 @@ from quartets import (
     reverse,
     tree_from_splits,
 )
+from quartets import model
 from quartets.model import natural_key
 
 
@@ -42,6 +43,20 @@ class TestLeafSet:
     def test_numeric_aware_ordering(self):
         ls = LeafSet.from_labels(["10", "2", "1"])
         assert ls.labels == ("1", "2", "10")
+
+    def test_constructor_sorts_the_labels(self):
+        assert LeafSet(("10", "2", "1")).labels == ("1", "2", "10")
+
+    def test_from_labels_sorts_once(self, monkeypatch):
+        calls = []
+
+        def counting(label):
+            calls.append(label)
+            return natural_key(label)
+
+        monkeypatch.setattr(model, "natural_key", counting)
+        LeafSet.from_labels(["10", "2", "1", "b"])
+        assert sorted(calls) == ["1", "10", "2", "b"]
 
     def test_natural_key_mixes_text_and_numbers(self):
         labels = ["b2", "b10", "a", "a1"]
