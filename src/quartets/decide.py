@@ -38,7 +38,11 @@ define T (Semple and Steel, Phylogenetics, 2003, ch. 6), so T is the
 only displayer of Q. Otherwise the scan decides. minimality_report
 uses the same edge-pinning check on Q minus q and its known tree, and
 marks q redundant without a scan when one leaf's closed quartets pin
-every edge. The scan cap bounds only the scan.
+every edge. The quartets neither check settles share one walk of the
+binary stream: any binary tree displaying Q minus q and q is T, so q's
+witness is the first tree in stream order that misses q alone, and one
+walk that follows trees missing at most one such quartet finds every
+witness. The scan cap bounds only the scans.
 
 The binary scan prunes before it builds: leaf k goes only into edges
 where the child displays every quartet whose largest leaf is k
@@ -53,7 +57,16 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Literal
 
-from .enumeration import _check_mode, _check_size, _children, _stream_masks, Mode
+from .enumeration import (
+    _admissible,
+    _check_mode,
+    _check_size,
+    _children,
+    _edges,
+    _insert,
+    _stream_masks,
+    Mode,
+)
 from .errors import (
     AmbientMismatchError,
     QuartetError,
@@ -124,14 +137,19 @@ class MinimalityReport:
     n: int
 
 
+def _insertion_test(q: Quartet) -> tuple[int, tuple[int, int]]:
+    """Quartet xy|zk as its largest leaf k and the test (1<<z, xy mask)."""
+    if q.b > q.d:
+        return q.b, (1 << q.a, (1 << q.c) | (1 << q.d))
+    return q.d, (1 << q.c, (1 << q.a) | (1 << q.b))
+
+
 def _level_quartets(qs: QuartetSet) -> dict[int, list[tuple[int, int]]]:
     """Each quartet xy|zk as (1<<z, xy mask), grouped by its largest leaf k."""
     levels: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for q in qs.sorted_quartets():
-        if q.b > q.d:
-            levels[q.b].append((1 << q.a, (1 << q.c) | (1 << q.d)))
-        else:
-            levels[q.d].append((1 << q.c, (1 << q.a) | (1 << q.b)))
+        k, test = _insertion_test(q)
+        levels[k].append(test)
     return dict(levels)
 
 
@@ -336,6 +354,8 @@ def _resolve_ambient(
             raise TooFewLeavesError(
                 "definitiveness needs at least four occupied leaves"
             )
+        if len(support) == qs.leaves.n:
+            return qs, qs.leaves
         ambient = LeafSet.from_labels(support)
         return qs.translate(ambient), ambient
     if set(leaves.labels) != set(support):
@@ -413,6 +433,91 @@ def undistinguished_edges(qs: QuartetSet, tree: PhyloTree) -> tuple[Split, ...]:
     return tuple(Split(m, tree.n) for m in _undistinguished_masks(tree.masks, pairs))
 
 
+_TWO_MISSES = -1
+
+
+def _first_alternatives(
+    quartets: list[Quartet], n: int, pending: list[int], cap: int | None
+) -> dict[int, tuple[int, ...]]:
+    """For each pending index i, the first binary tree in stream order that
+    displays every quartet but quartets[i], as masks; absent when none does.
+
+    One depth-first walk of the binary stream, in which each node carries
+    at most one violated pending quartet. Every other quartet, and every
+    quartet below a node that already carries a miss, prunes with the
+    S* edge test as the binary scan does; a child that would miss two
+    pending quartets is dropped. Trees are finished in stream order, so
+    the first finished tree whose only miss is i is i's witness. Once i
+    has one, it prunes like the rest, and the walk stops when every
+    pending quartet has a witness. A node with no miss that is about to
+    insert a leaf past the largest leaf of every pending quartet still
+    open can only grow into trees displaying all the quartets, and is
+    dropped too: the caller's quartets define a tree, which is no
+    witness.
+    """
+    try:
+        _check_size(n, "binary", cap)
+    except TooManyLeavesError as e:
+        raise TooManyLeavesError(
+            f"the minimality witnesses for {len(pending)} of {len(quartets)} "
+            f"quartets on {n} leaves need the binary scan, which refuses "
+            f"them: {e}"
+        ) from None
+    levels: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    level_of = []
+    for i, q in enumerate(quartets):
+        k, (z, xy) = _insertion_test(q)
+        levels[k].append((i, z, xy))
+        level_of.append(k)
+    open_ = set(pending)
+    last = max(level_of[i] for i in open_)
+    found: dict[int, tuple[int, ...]] = {}
+    stack: list[tuple[tuple[int, ...], int, int | None]] = [((), 3, None)]
+    while stack and open_:
+        splits, k, miss = stack.pop()
+        if miss is None:
+            if k > last:
+                continue  # nothing open is left to miss
+        elif miss not in open_:
+            continue
+        here = levels.get(k, ())
+        edges = _edges(splits, k)
+        for i, z, xy in here:
+            if miss is not None or i not in open_:
+                edges = _admissible(edges, splits, k, z, xy)
+                if not edges:
+                    break
+        if not edges:
+            continue
+        tags = [miss] * len(edges)
+        if miss is None:
+            for i, z, xy in here:
+                if i not in open_:
+                    continue
+                kept = _admissible(edges, splits, k, z, xy)
+                if len(kept) == len(edges):
+                    continue
+                kept = set(kept)
+                for j, u in enumerate(edges):
+                    if u not in kept:
+                        tags[j] = i if tags[j] is None else _TWO_MISSES
+        if _TWO_MISSES in tags:
+            edges = [u for u, t in zip(edges, tags) if t != _TWO_MISSES]
+            tags = [t for t in tags if t != _TWO_MISSES]
+        if k == n - 1:
+            # finished trees: build only the witnesses; an untagged one is T
+            for u, tag in zip(edges, tags):
+                if tag in open_:
+                    (found[tag],) = _insert(splits, k, [u])
+                    open_.discard(tag)
+                    last = max((level_of[i] for i in open_), default=0)
+            continue
+        children = _insert(splits, k, edges)
+        for child, tag in zip(reversed(children), reversed(tags)):
+            stack.append((child, k + 1, tag))
+    return found
+
+
 def minimality_report(
     qs: QuartetSet, mode: DecideMode = "fast", *, cap: int | None = None
 ) -> MinimalityReport:
@@ -426,6 +531,15 @@ def minimality_report(
     set is minimal exactly when there are none. A removal is settled as
     redundant without a scan when, in the closure of the rest, the
     quartets holding one leaf pin every edge of T.
+
+    The quartets neither check settles share one walk of the binary
+    stream. A binary tree that displays both Q minus q and q displays Q,
+    so it is T; the trees other than T that display Q minus q are
+    exactly those that miss q alone. So q's witness is the first tree in
+    stream order whose only miss is q, and the walk only has to follow
+    trees that miss at most one of these quartets. A quartet with no
+    such tree is redundant: every edge of T is pinned without it, and T
+    is the only binary tree left.
     """
     verdict = defines(qs, mode=mode, cap=cap)
     size = len(qs)
@@ -438,14 +552,13 @@ def minimality_report(
     tree_masks = tree.masks
     quartets = moved.sorted_quartets()
     pairs = [q.pair_masks() for q in quartets]
-    entries = []
-    redundant = False
-    for i, q in enumerate(quartets):
+    witnesses: list[RemovalWitness | None] = []
+    for i in range(len(quartets)):
         rest_pairs = pairs[:i] + pairs[i + 1 :]
         loose = _undistinguished_masks(tree_masks, rest_pairs)
         if loose:
-            entries.append(
-                (q, RemovalWitness("undistinguished_edge", split=Split(min(loose), ambient.n)))
+            witnesses.append(
+                RemovalWitness("undistinguished_edge", split=Split(min(loose), ambient.n))
             )
             continue
         closed = _close_pairs(rest_pairs)
@@ -453,22 +566,21 @@ def minimality_report(
             not _undistinguished_masks(tree_masks, _holding(closed, x))
             for x in range(ambient.n)
         ):
-            entries.append((q, RemovalWitness("redundant")))
-            redundant = True
-            continue
-        alternative = None
-        for masks in _binary_scan(moved.without_quartet(q), cap):
-            if masks != tree_masks:
-                alternative = masks
-                break
-        if alternative is not None:
-            entries.append(
-                (q, RemovalWitness("alternative_tree", tree=PhyloTree(ambient, alternative)))
-            )
+            witnesses.append(RemovalWitness("redundant"))
         else:
-            entries.append((q, RemovalWitness("redundant")))
-            redundant = True
-    return MinimalityReport(verdict, tuple(entries), not redundant, size, n)
+            witnesses.append(None)
+    pending = [i for i, w in enumerate(witnesses) if w is None]
+    if pending:
+        alternatives = _first_alternatives(quartets, ambient.n, pending, cap)
+        for i in pending:
+            masks = alternatives.get(i)
+            witnesses[i] = (
+                RemovalWitness("alternative_tree", tree=PhyloTree(ambient, masks))
+                if masks is not None
+                else RemovalWitness("redundant")
+            )
+    minimal = all(w.kind != "redundant" for w in witnesses)
+    return MinimalityReport(verdict, tuple(zip(quartets, witnesses)), minimal, size, n)
 
 
 def semantic_infers(

@@ -57,36 +57,37 @@ def _check_size(n: int, mode: str, cap: int | None) -> None:
         )
 
 
-def _children(
-    splits: tuple[int, ...],
-    k: int,
-    all_mode: bool,
-    need: Sequence[tuple[int, int]] = (),
-) -> list[tuple[int, ...]]:
-    """The trees obtained by inserting leaf k, in canonical position order.
+def _edges(splits: tuple[int, ...], k: int) -> list[int]:
+    """The canonical masks of every edge of a tree on leaves 0..k-1, ascending."""
+    # (1 << k) - 2 is leaf 0's pendant edge, canonical side is everyone else
+    return sorted([1 << v for v in range(1, k)] + [(1 << k) - 2] + list(splits))
 
-    need, given as (1<<z, xy mask) per quartet xy|zk, keeps only the edges
-    whose child displays all of them; it is for binary insertion only.
-    Edges are filtered first and only the admissible ones are built.
+
+def _admissible(
+    edges: list[int], splits: tuple[int, ...], k: int, z: int, xy: int
+) -> list[int]:
+    """The edges where inserting leaf k gives a child displaying xy|zk.
+
+    z is 1<<z and xy the mask of x and y. The one S* edge test; the
+    argument is in _stream_masks.
     """
+    full = (1 << k) - 1
+    # S*: z's pendant side plus every split side holding z but not x, y;
+    # every other pendant edge has x or y on its z-side
+    star = z
+    for m in splits:
+        side = m if m & z else full ^ m
+        if not side & xy:
+            star |= side
+    out = full ^ star
+    # an edge is admissible iff one of its sides lies inside S*
+    return [u for u in edges if not u & out or u & out == out]
+
+
+def _insert(splits: tuple[int, ...], k: int, edges: list[int]) -> list[tuple[int, ...]]:
+    """The trees obtained by subdividing each given edge with leaf k, in order."""
     bitk = 1 << k
-    full = bitk - 1
     hi = k - 1  # largest nontrivial side size after insertion
-    # full - 1 is leaf 0's pendant edge, canonical side is everyone else
-    edges = sorted([1 << v for v in range(1, k)] + [full - 1] + list(splits))
-    for z, xy in need:
-        # S*: z's pendant side plus every split side holding z but not x, y;
-        # every other pendant edge has x or y on its z-side
-        star = z
-        for m in splits:
-            side = m if m & z else full ^ m
-            if not side & xy:
-                star |= side
-        out = full ^ star
-        # an edge is admissible iff one of its sides lies inside S*
-        edges = [u for u in edges if not u & out or u & out == out]
-        if not edges:
-            return []
     children = []
     for u in edges:
         child = []
@@ -101,7 +102,29 @@ def _children(
             child.append(w)
         child.sort()
         children.append(tuple(child))
+    return children
+
+
+def _children(
+    splits: tuple[int, ...],
+    k: int,
+    all_mode: bool,
+    need: Sequence[tuple[int, int]] = (),
+) -> list[tuple[int, ...]]:
+    """The trees obtained by inserting leaf k, in canonical position order.
+
+    need, given as (1<<z, xy mask) per quartet xy|zk, keeps only the edges
+    whose child displays all of them; it is for binary insertion only.
+    Edges are filtered first and only the admissible ones are built.
+    """
+    edges = _edges(splits, k)
+    for z, xy in need:
+        edges = _admissible(edges, splits, k, z, xy)
+        if not edges:
+            return []
+    children = _insert(splits, k, edges)
     if all_mode:
+        bitk = 1 << k
         children.append(splits)  # attach beside leaf 0's neighbour, nothing moves
         for v in splits:
             children.append(tuple(sorted(m | bitk if v & ~m == 0 else m for m in splits)))

@@ -46,12 +46,12 @@ class SearchFinding:
 
 def all_quartets(leaves: LeafSet) -> list[Quartet]:
     """Every normalized quartet on the leaf set, in canonical order."""
-    out = []
+    # a < b < c < d, so these three are in normal form already, and
+    # sorting the index tuples gives the Quartet order
+    rows = []
     for a, b, c, d in combinations(range(leaves.n), 4):
-        out.append(normalized_quartet(a, b, c, d))
-        out.append(normalized_quartet(a, c, b, d))
-        out.append(normalized_quartet(a, d, b, c))
-    return sorted(out)
+        rows += ((a, b, c, d), (a, c, b, d), (a, d, b, c))
+    return [Quartet(*row) for row in sorted(rows)]
 
 
 def _random_quartet_over(rng: random.Random, members: list[int]) -> Quartet:
@@ -93,7 +93,9 @@ def run_search(
 
     Deterministic for a fixed (n, target_size, budget, seed). Findings
     are deduplicated and each one has already survived a fresh
-    minimality_report before being returned.
+    minimality_report before being returned. Each repair step decides
+    its set through minimality_report, so the set a trial lands on is
+    decided once, and the strip reads the report that decided it.
     """
     if n < 4:
         raise TooFewLeavesError("search needs at least four leaves")
@@ -120,7 +122,8 @@ def run_search(
                 rest = rng.sample([v for v in members if v != anchor], 3)
                 chosen.add(_random_quartet_over(rng, [anchor] + rest))
                 continue
-            verdict = defines(qs, mode="fast", cap=cap)
+            report = minimality_report(qs, mode="fast", cap=cap)
+            verdict = report.verdict
             if verdict.is_definitive:
                 settled = qs
                 break
@@ -139,17 +142,19 @@ def run_search(
             chosen.add(rng.choice(pool))
         if settled is None:
             continue
-        report = minimality_report(settled, mode="fast", cap=cap)
         if report.minimal is False:
             # one pass suffices: a quartet needed in a set stays needed in
             # every subset, since a second displayer of S minus q also
-            # displays each smaller set minus q
+            # displays each smaller set minus q. The first drop needs no
+            # check: the report marked q redundant only after proving that
+            # S minus q still defines the tree.
             tree = report.verdict.tree
-            for q, w in report.entries:
-                if w.kind == "redundant":
-                    rest = settled.without_quartet(q)
-                    if defines(rest, mode="fast", cap=cap).tree == tree:
-                        settled = rest
+            redundant = [q for q, w in report.entries if w.kind == "redundant"]
+            settled = settled.without_quartet(redundant[0])
+            for q in redundant[1:]:
+                rest = settled.without_quartet(q)
+                if defines(rest, mode="fast", cap=cap).tree == tree:
+                    settled = rest
             report = minimality_report(settled, mode="fast", cap=cap)
         if not (report.verdict.is_definitive and report.minimal):
             continue

@@ -104,6 +104,20 @@ class TestCheck:
         assert out.returncode == 1
         assert "defines: no" in out.stdout
 
+    def test_minimality_witnesses_past_the_scan_cap(self, tmp_path):
+        # the certificate defines the 13-leaf construction at any cap; the
+        # witnesses for the quartets no cheap check settles need the scan
+        f = tmp_path / "q13.txt"
+        f.write_text(run("construct", "--n", "13").stdout)
+        out = run("check", "--quartets", str(f))
+        assert out.returncode == 2
+        assert "minimality witnesses" in out.stderr
+        assert "cap 12" in out.stderr
+        out = run("check", "--quartets", str(f), "--cap", "13", "--json")
+        assert out.returncode == 0
+        payload = json.loads(out.stdout)
+        assert payload["defines"] is True and payload["minimal"] is True
+
     def test_missing_file(self):
         out = run("check", "--quartets", "/nonexistent/q.txt")
         assert out.returncode == 2

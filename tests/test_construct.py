@@ -281,6 +281,7 @@ class TestVerifyConstruction:
             raise AssertionError("the binary scan ran")
 
         monkeypatch.setattr(decide, "_pruned_displayers", no_scan)
+        monkeypatch.setattr(decide, "_first_alternatives", no_scan)
         assert verify_construction(12, oracle_max_n=5).all_ok
 
     def test_past_the_old_scan_ceiling(self):

@@ -16,6 +16,7 @@ from quartets import (
     PhyloTree,
     QuartetError,
     QuartetSet,
+    all_quartets,
     caterpillar,
     caterpillar_from_order,
     common_leaf_certificate,
@@ -31,6 +32,7 @@ from quartets import (
     parse_newick,
     parse_quartet_file,
     relabel,
+    run_search,
     semantic_infers,
     undistinguished_edges,
 )
@@ -548,6 +550,7 @@ class TestClosureCertificate:
             raise AssertionError("the binary scan ran")
 
         monkeypatch.setattr(decide, "_pruned_displayers", refuse)
+        monkeypatch.setattr(decide, "_first_alternatives", refuse)
         qs = inference_closure(minimal_definitive_set(n))
         report = minimality_report(qs)
         kinds = [w.kind for _, w in report.entries]
@@ -581,6 +584,49 @@ class TestClosureCertificate:
                 assert tree == relabel(target, sigma)
                 assert (tree == target) == ((i, j) in ((0, 1), (n - 2, n - 1)))
         assert settled_count >= n
+
+
+class TestMinimalityAgainstTheOracle:
+    """The one walk gives the witnesses the per-quartet scans gave, and
+    its redundant marks are the oracle's."""
+
+    @staticmethod
+    def _inputs():
+        """The sets of every verdict TestClosureCertificate draws (5-8
+        leaves), then sets whose walk finds witnesses: the construction,
+        search findings, and findings plus a quartet their tree displays,
+        where one walk finds some witnesses and marks others redundant."""
+        yield from TestClosureCertificate._inputs()
+        for n in (5, 6, 7, 8):
+            yield minimal_definitive_set(n)
+            for f in run_search(n, n - 2, 20, seed=n):
+                qs = f.quartets
+                yield qs
+                tree = defines(qs).tree
+                extra = [q for q in all_quartets(qs.leaves) if displays(tree, q) and q not in qs]
+                for q in extra[:2]:
+                    yield QuartetSet(qs.leaves, qs.quartets | {q})
+
+    def test_witnesses_and_redundancy(self):
+        statuses, kinds = set(), set()
+        for qs in self._inputs():
+            report = minimality_report(qs)
+            statuses.add(report.verdict.status)
+            if not report.verdict.is_definitive:
+                assert report.entries == ()
+                continue
+            tree = report.verdict.tree
+            moved = qs.translate(tree.leaves)  # the entries' indexing
+            for q, w in report.entries:
+                kinds.add(w.kind)
+                rest = moved.without_quartet(q)
+                oracle = defines(rest, tree.leaves, mode="oracle", allow_larger_ambient=True)
+                assert (w.kind == "redundant") == (oracle.tree == tree)
+                if w.kind == "alternative_tree":
+                    first = displayers(rest, mode="binary", limit=2)
+                    assert w.tree == next(t for t in first if t != tree)
+        assert statuses == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
+        assert kinds == {"undistinguished_edge", "alternative_tree", "redundant"}
 
 
 class TestScanCap:

@@ -1,5 +1,7 @@
 """Randomized hunt for small definitive sets; results must re-validate."""
 
+import hashlib
+
 import pytest
 
 from quartets import (
@@ -24,6 +26,30 @@ class TestRunSearch:
             assert report.minimal is True
             assert len(f.quartets.support_labels()) == f.n
             assert f.size == len(f.quartets) >= f.n - 3
+
+    @pytest.mark.parametrize("n, target, budget", [(8, 6, 30), (9, 7, 4)])
+    def test_findings_are_minimal_by_the_oracle(self, n, target, budget):
+        # the oracle decides each finding and each finding minus one quartet
+        findings = run_search(n, target_size=target, budget=budget, seed=3)
+        assert findings
+        for f in findings:
+            report = minimality_report(f.quartets, mode="oracle")
+            assert report.verdict.is_definitive and report.minimal is True
+            for q in f.quartets:
+                rest = defines(f.quartets.without_quartet(q), f.quartets.leaves,
+                               mode="oracle", allow_larger_ambient=True)
+                assert rest.tree != report.verdict.tree
+
+    def test_output_is_pinned(self):
+        # sha256 of the findings: deciding each set once, through its
+        # minimality report, finds exactly what deciding it twice found
+        findings = run_search(8, target_size=6, budget=60, seed=7)
+        text = "\n".join(
+            f"{f.size} {f.trials_used} {' '.join(f.quartets.texts())}" for f in findings
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f5f6b9828cae78f825aeb6202a997a0fe9017b1ea4200353f0593bcc36db03be"
+        )
 
     def test_deterministic_for_a_seed(self):
         a = run_search(6, target_size=4, budget=300, seed=11)
