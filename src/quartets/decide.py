@@ -44,10 +44,11 @@ witness is the first tree in stream order that misses q alone, and one
 walk that follows trees missing at most one such quartet finds every
 witness. The scan cap bounds only the scans.
 
-The binary scan prunes before it builds: leaf k goes only into edges
-where the child displays every quartet whose largest leaf is k
-(enumeration._stream_masks gives the argument). All-tree displayers
-come from the oracle walk alone.
+One walk of the binary stream, _binary_walk, serves both the scan and
+the witnesses. It prunes before it builds: leaf k goes only into edges
+where the child displays the quartets whose largest leaf is k, and its
+docstring gives the argument. All-tree displayers come from the oracle
+walk alone.
 """
 
 from __future__ import annotations
@@ -55,18 +56,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
-from .enumeration import (
-    _admissible,
-    _check_mode,
-    _check_size,
-    _children,
-    _edges,
-    _insert,
-    _stream_masks,
-    Mode,
-)
+from .enumeration import _check_mode, _check_size, _children, _edges, _insert, Mode
 from .errors import (
     AmbientMismatchError,
     QuartetError,
@@ -144,20 +136,135 @@ def _insertion_test(q: Quartet) -> tuple[int, tuple[int, int]]:
     return q.d, (1 << q.c, (1 << q.a) | (1 << q.b))
 
 
-def _level_quartets(qs: QuartetSet) -> dict[int, list[tuple[int, int]]]:
-    """Each quartet xy|zk as (1<<z, xy mask), grouped by its largest leaf k."""
-    levels: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for q in qs.sorted_quartets():
-        k, test = _insertion_test(q)
-        levels[k].append(test)
-    return dict(levels)
+def _admissible(
+    edges: list[int], splits: tuple[int, ...], k: int, z: int, xy: int
+) -> list[int]:
+    """The edges where inserting leaf k gives a child displaying xy|zk.
+
+    z is 1<<z and xy the mask of x and y. The one S* edge test; the
+    argument is in _binary_walk.
+    """
+    full = (1 << k) - 1
+    # S*: z's pendant side plus every split side holding z but not x, y;
+    # every other pendant edge has x or y on its z-side
+    star = z
+    for m in splits:
+        side = m if m & z else full ^ m
+        if not side & xy:
+            star |= side
+    out = full ^ star
+    # an edge is admissible iff one of its sides lies inside S*
+    return [u for u in edges if not u & out or u & out == out]
 
 
-def _pruned_displayers(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
-    """Every binary tree on qs's leaves displaying all of qs, in stream order."""
-    n = qs.leaves.n
-    _check_size(n, "binary", cap)
-    return _stream_masks(n, "binary", _level_quartets(qs))
+_TWO_MISSES = -1
+
+
+def _binary_walk(
+    quartets: list[Quartet], n: int, pending: Iterable[int] = ()
+) -> Iterator[tuple[int | None, tuple[int, ...]]]:
+    """Finished binary trees on leaves 0..n-1 as (miss, masks), in stream order.
+
+    A depth-first walk of the binary stream that prunes before it builds:
+    leaf k goes only into edges where the child displays the quartets
+    xy|zk whose largest leaf is k, chosen on the parent. In the parent on
+    0..k-1 let m be the median of x, y and z, and S* the leaves of the
+    component of the tree minus m that holds z. S* is the union of the
+    edge sides holding z but neither x nor y, because those are the
+    nested z-sides of the edges on the path from m to z. Subdividing an
+    edge with one side inside S* hangs k in that component, so the child
+    displays xy|zk; any other edge puts k on x's or y's branch, where x,
+    y, z, k induce xk|yz or yk|xz. Insertions never change the topology
+    induced on existing leaves, so a quartet's status is frozen once its
+    last leaf is in, and pruning drops no displayer, admits no extra one,
+    and keeps the survivors in stream order.
+
+    With nothing pending every quartet prunes, and the walk is the binary
+    scan: it yields (None, masks) for each displayer of all the quartets.
+
+    pending holds indices into quartets, and the walk yields (i, masks)
+    for the first tree in stream order that displays every quartet but
+    quartets[i], if there is one. Each node carries at most one violated
+    pending quartet, its miss. Every other quartet, and every quartet
+    below a node that already carries a miss, prunes; a child that would
+    miss two pending quartets is dropped. Trees are finished in stream
+    order, so the first finished tree whose only miss is i is i's
+    witness. Once i has one, it prunes like the rest, and the walk stops
+    when every pending quartet has one. A node with no miss that is about
+    to insert a leaf past the largest leaf of every pending quartet still
+    open can only grow into trees displaying all the quartets, and is
+    dropped too: the caller's quartets define a tree, which is no witness.
+    """
+    if n == 3:
+        yield None, ()  # the star, the only tree on three leaves
+        return
+    levels: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    level_of = []
+    for i, q in enumerate(quartets):
+        k, (z, xy) = _insertion_test(q)
+        levels[k].append((i, z, xy))
+        level_of.append(k)
+    open_ = set(pending)
+    scan = not open_
+    last = max((level_of[i] for i in open_), default=n)  # a scan cuts nothing
+    stack: list[tuple[tuple[int, ...], int, int | None]] = [((), 3, None)]
+    while stack:
+        splits, k, miss = stack.pop()
+        if miss is None:
+            if k > last:
+                continue  # nothing open is left to miss
+        elif miss not in open_:
+            continue
+        here = levels.get(k, ())
+        edges = _edges(splits, k)
+        for i, z, xy in here:
+            if miss is not None or i not in open_:
+                edges = _admissible(edges, splits, k, z, xy)
+                if not edges:
+                    break
+        if not edges:
+            continue
+        tags = [miss] * len(edges)
+        if miss is None and open_:
+            for i, z, xy in here:
+                if i not in open_:
+                    continue
+                kept = _admissible(edges, splits, k, z, xy)
+                if len(kept) == len(edges):
+                    continue
+                kept = set(kept)
+                for j, u in enumerate(edges):
+                    if u not in kept:
+                        tags[j] = i if tags[j] is None else _TWO_MISSES
+            if _TWO_MISSES in tags:
+                edges = [u for u, t in zip(edges, tags) if t != _TWO_MISSES]
+                tags = [t for t in tags if t != _TWO_MISSES]
+        if k == n - 1:
+            if scan:
+                yield from zip(tags, _insert(splits, k, edges))
+                continue
+            # build only each open quartet's first witness; an untagged tree is T
+            first: dict[int, int] = {}
+            for u, tag in zip(edges, tags):
+                if tag in open_:
+                    first.setdefault(tag, u)
+            yield from zip(first, _insert(splits, k, list(first.values())))
+            open_.difference_update(first)
+            if not open_:
+                return
+            last = max(level_of[i] for i in open_)
+            continue
+        children = _insert(splits, k, edges)
+        for child, tag in zip(reversed(children), reversed(tags)):
+            stack.append((child, k + 1, tag))
+
+
+def _check_scan(n: int, cap: int | None, lead: str) -> None:
+    """Refuse a binary walk past the cap, saying first what needed it."""
+    try:
+        _check_size(n, "binary", cap)
+    except TooManyLeavesError as e:
+        raise TooManyLeavesError(f"{lead}: {e}") from None
 
 
 def _oracle_displayers(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
@@ -305,18 +412,6 @@ def _closure_certificate(qs: QuartetSet) -> tuple[int, ...] | str | None:
     return None
 
 
-def _binary_scan(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
-    """The pruned binary scan, the fallback when no certificate settles qs."""
-    try:
-        return _pruned_displayers(qs, cap)
-    except TooManyLeavesError as e:
-        raise TooManyLeavesError(
-            f"the closure certificate did not settle {len(qs)} quartets on "
-            f"{qs.leaves.n} leaves, and the binary scan it falls back on "
-            f"refuses them: {e}"
-        ) from None
-
-
 def displayers(
     qs: QuartetSet,
     leaves: LeafSet | None = None,
@@ -330,8 +425,7 @@ def displayers(
     leaves defaults to the quartet set's own ambient leaf set and may be
     any superset of the leaves actually mentioned. limit, when given,
     must be at least 0 and truncates the result to that many displayers.
-    "all" mode reads the oracle walk; "binary" mode reads the pruned
-    binary scan.
+    "all" mode reads the oracle walk; "binary" mode reads the binary walk.
     """
     _check_mode(mode)
     if limit is not None and limit < 0:
@@ -341,7 +435,8 @@ def displayers(
     if mode == "all":
         stream = _oracle_displayers(moved, cap)
     else:
-        stream = _pruned_displayers(moved, cap)
+        _check_size(ambient.n, "binary", cap)
+        stream = (masks for _, masks in _binary_walk(moved.sorted_quartets(), ambient.n))
     return [PhyloTree(ambient, masks) for masks in islice(stream, limit)]
 
 
@@ -409,7 +504,13 @@ def defines(
     if settled is not None:
         tree = PhyloTree(ambient, settled)
         return DefinitivenessVerdict(DEFINES, tree, None, (tree,), mode)
-    found = list(islice(_binary_scan(moved, cap), 2))
+    _check_scan(
+        n,
+        cap,
+        f"the closure certificate did not settle {len(moved)} quartets on {n} "
+        "leaves, and the binary scan it falls back on refuses them",
+    )
+    found = [masks for _, masks in islice(_binary_walk(moved.sorted_quartets(), n), 2)]
     if not found:
         # no binary displayer means no displayer at all: refining any
         # displayer to a binary tree preserves every displayed quartet
@@ -431,91 +532,6 @@ def undistinguished_edges(qs: QuartetSet, tree: PhyloTree) -> tuple[Split, ...]:
     """Splits of the tree that are nobody's unique separating edge."""
     pairs = _pairs(qs.translate(tree.leaves))
     return tuple(Split(m, tree.n) for m in _undistinguished_masks(tree.masks, pairs))
-
-
-_TWO_MISSES = -1
-
-
-def _first_alternatives(
-    quartets: list[Quartet], n: int, pending: list[int], cap: int | None
-) -> dict[int, tuple[int, ...]]:
-    """For each pending index i, the first binary tree in stream order that
-    displays every quartet but quartets[i], as masks; absent when none does.
-
-    One depth-first walk of the binary stream, in which each node carries
-    at most one violated pending quartet. Every other quartet, and every
-    quartet below a node that already carries a miss, prunes with the
-    S* edge test as the binary scan does; a child that would miss two
-    pending quartets is dropped. Trees are finished in stream order, so
-    the first finished tree whose only miss is i is i's witness. Once i
-    has one, it prunes like the rest, and the walk stops when every
-    pending quartet has a witness. A node with no miss that is about to
-    insert a leaf past the largest leaf of every pending quartet still
-    open can only grow into trees displaying all the quartets, and is
-    dropped too: the caller's quartets define a tree, which is no
-    witness.
-    """
-    try:
-        _check_size(n, "binary", cap)
-    except TooManyLeavesError as e:
-        raise TooManyLeavesError(
-            f"the minimality witnesses for {len(pending)} of {len(quartets)} "
-            f"quartets on {n} leaves need the binary scan, which refuses "
-            f"them: {e}"
-        ) from None
-    levels: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    level_of = []
-    for i, q in enumerate(quartets):
-        k, (z, xy) = _insertion_test(q)
-        levels[k].append((i, z, xy))
-        level_of.append(k)
-    open_ = set(pending)
-    last = max(level_of[i] for i in open_)
-    found: dict[int, tuple[int, ...]] = {}
-    stack: list[tuple[tuple[int, ...], int, int | None]] = [((), 3, None)]
-    while stack and open_:
-        splits, k, miss = stack.pop()
-        if miss is None:
-            if k > last:
-                continue  # nothing open is left to miss
-        elif miss not in open_:
-            continue
-        here = levels.get(k, ())
-        edges = _edges(splits, k)
-        for i, z, xy in here:
-            if miss is not None or i not in open_:
-                edges = _admissible(edges, splits, k, z, xy)
-                if not edges:
-                    break
-        if not edges:
-            continue
-        tags = [miss] * len(edges)
-        if miss is None:
-            for i, z, xy in here:
-                if i not in open_:
-                    continue
-                kept = _admissible(edges, splits, k, z, xy)
-                if len(kept) == len(edges):
-                    continue
-                kept = set(kept)
-                for j, u in enumerate(edges):
-                    if u not in kept:
-                        tags[j] = i if tags[j] is None else _TWO_MISSES
-        if _TWO_MISSES in tags:
-            edges = [u for u, t in zip(edges, tags) if t != _TWO_MISSES]
-            tags = [t for t in tags if t != _TWO_MISSES]
-        if k == n - 1:
-            # finished trees: build only the witnesses; an untagged one is T
-            for u, tag in zip(edges, tags):
-                if tag in open_:
-                    (found[tag],) = _insert(splits, k, [u])
-                    open_.discard(tag)
-                    last = max((level_of[i] for i in open_), default=0)
-            continue
-        children = _insert(splits, k, edges)
-        for child, tag in zip(reversed(children), reversed(tags)):
-            stack.append((child, k + 1, tag))
-    return found
 
 
 def minimality_report(
@@ -571,7 +587,13 @@ def minimality_report(
             witnesses.append(None)
     pending = [i for i, w in enumerate(witnesses) if w is None]
     if pending:
-        alternatives = _first_alternatives(quartets, ambient.n, pending, cap)
+        _check_scan(
+            ambient.n,
+            cap,
+            f"the minimality witnesses for {len(pending)} of {len(quartets)} "
+            f"quartets on {ambient.n} leaves need the binary scan, which refuses them",
+        )
+        alternatives = dict(_binary_walk(quartets, ambient.n, pending))
         for i in pending:
             masks = alternatives.get(i)
             witnesses[i] = (

@@ -19,16 +19,12 @@ split m, sitting on the far side of exactly the splits containing m.
 Insertion positions are scanned in a fixed order (edge masks ascending,
 then the root-end vertex, then per-split vertices by ascending mask), so
 the stream order is deterministic and restarting reproduces it.
-
-A binary stream can be pruned to the trees displaying given quartets;
-_stream_masks states why the pruning is exact. All-tree displayers come
-from the oracle walk in decide, which tests every child instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal
 
 from .errors import QuartetError, TooFewLeavesError, TooManyLeavesError
 from .model import LeafSet, PhyloTree, integer_leaves
@@ -63,27 +59,6 @@ def _edges(splits: tuple[int, ...], k: int) -> list[int]:
     return sorted([1 << v for v in range(1, k)] + [(1 << k) - 2] + list(splits))
 
 
-def _admissible(
-    edges: list[int], splits: tuple[int, ...], k: int, z: int, xy: int
-) -> list[int]:
-    """The edges where inserting leaf k gives a child displaying xy|zk.
-
-    z is 1<<z and xy the mask of x and y. The one S* edge test; the
-    argument is in _stream_masks.
-    """
-    full = (1 << k) - 1
-    # S*: z's pendant side plus every split side holding z but not x, y;
-    # every other pendant edge has x or y on its z-side
-    star = z
-    for m in splits:
-        side = m if m & z else full ^ m
-        if not side & xy:
-            star |= side
-    out = full ^ star
-    # an edge is admissible iff one of its sides lies inside S*
-    return [u for u in edges if not u & out or u & out == out]
-
-
 def _insert(splits: tuple[int, ...], k: int, edges: list[int]) -> list[tuple[int, ...]]:
     """The trees obtained by subdividing each given edge with leaf k, in order."""
     bitk = 1 << k
@@ -105,24 +80,9 @@ def _insert(splits: tuple[int, ...], k: int, edges: list[int]) -> list[tuple[int
     return children
 
 
-def _children(
-    splits: tuple[int, ...],
-    k: int,
-    all_mode: bool,
-    need: Sequence[tuple[int, int]] = (),
-) -> list[tuple[int, ...]]:
-    """The trees obtained by inserting leaf k, in canonical position order.
-
-    need, given as (1<<z, xy mask) per quartet xy|zk, keeps only the edges
-    whose child displays all of them; it is for binary insertion only.
-    Edges are filtered first and only the admissible ones are built.
-    """
-    edges = _edges(splits, k)
-    for z, xy in need:
-        edges = _admissible(edges, splits, k, z, xy)
-        if not edges:
-            return []
-    children = _insert(splits, k, edges)
+def _children(splits: tuple[int, ...], k: int, all_mode: bool) -> list[tuple[int, ...]]:
+    """The trees obtained by inserting leaf k, in canonical position order."""
+    children = _insert(splits, k, _edges(splits, k))
     if all_mode:
         bitk = 1 << k
         children.append(splits)  # attach beside leaf 0's neighbour, nothing moves
@@ -131,30 +91,8 @@ def _children(
     return children
 
 
-def _stream_masks(
-    n: int,
-    mode: Mode,
-    level_quartets: dict[int, list[tuple[int, int]]] | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield split-mask tuples of every tree on leaf indices 0..n-1.
-
-    level_quartets optionally prunes a binary stream: for each level k it
-    lists the quartets xy|zk whose largest leaf is k, as (1<<z, xy mask),
-    and leaf k goes only into edges where the child displays all of them.
-    The edges are chosen on the parent, before any child is built. In the
-    parent on 0..k-1 let m be the median of x, y and z, and S* the leaves
-    of the component of the tree minus m that holds z. S* is the union of
-    the edge sides holding z but neither x nor y, because those are the
-    nested z-sides of the edges on the path from m to z. Subdividing an
-    edge with one side inside S* hangs k in that component, so the child
-    displays xy|zk; any other edge puts k on x's or y's branch, where x,
-    y, z, k induce xk|yz or yk|xz. Insertions never change the topology
-    induced on existing leaves, so a quartet's status is frozen once its
-    last leaf is in, and pruning drops no displayer, admits no extra one,
-    and keeps the survivors in stream order.
-    """
-    if level_quartets and mode != "binary":
-        raise QuartetError("quartet pruning runs on the binary stream only")
+def _stream_masks(n: int, mode: Mode) -> Iterator[tuple[int, ...]]:
+    """Yield split-mask tuples of every tree on leaf indices 0..n-1."""
     all_mode = mode == "all"
     if n == 3:
         yield ()
@@ -162,8 +100,7 @@ def _stream_masks(
     stack: list[tuple[tuple[int, ...], int]] = [((), 3)]
     while stack:
         splits, k = stack.pop()
-        need = level_quartets.get(k, ()) if level_quartets else ()
-        children = _children(splits, k, all_mode, need)
+        children = _children(splits, k, all_mode)
         if k == n - 1:
             yield from children
         else:

@@ -280,8 +280,7 @@ class TestVerifyConstruction:
         def no_scan(*args):
             raise AssertionError("the binary scan ran")
 
-        monkeypatch.setattr(decide, "_pruned_displayers", no_scan)
-        monkeypatch.setattr(decide, "_first_alternatives", no_scan)
+        monkeypatch.setattr(decide, "_binary_walk", no_scan)
         assert verify_construction(12, oracle_max_n=5).all_ok
 
     def test_past_the_old_scan_ceiling(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import qset, quartet_set_from_indices
+from conftest import DATA, qset, quartet_set_from_indices
 from quartets import (
     AmbientMismatchError,
     TooManyLeavesError,
@@ -538,7 +538,7 @@ class TestClosureCertificate:
         def refuse(*args):
             raise AssertionError("the binary scan ran")
 
-        monkeypatch.setattr(decide, "_pruned_displayers", refuse)
+        monkeypatch.setattr(decide, "_binary_walk", refuse)
         for n in range(6, 65):
             v = defines(minimal_definitive_set(n))
             assert v.is_definitive and v.tree == caterpillar(n)
@@ -549,8 +549,7 @@ class TestClosureCertificate:
         def refuse(*args):
             raise AssertionError("the binary scan ran")
 
-        monkeypatch.setattr(decide, "_pruned_displayers", refuse)
-        monkeypatch.setattr(decide, "_first_alternatives", refuse)
+        monkeypatch.setattr(decide, "_binary_walk", refuse)
         qs = inference_closure(minimal_definitive_set(n))
         report = minimality_report(qs)
         kinds = [w.kind for _, w in report.entries]
@@ -629,6 +628,55 @@ class TestMinimalityAgainstTheOracle:
         assert kinds == {"undistinguished_edge", "alternative_tree", "redundant"}
 
 
+def _swap15(qs):
+    """qs with leaves "1" and "5" swapped, which the certificate cannot settle."""
+    sigma = dict(zip(qs.leaves.labels, qs.leaves.labels))
+    sigma["1"], sigma["5"] = "5", "1"
+    return relabel(qs, sigma)
+
+
+def _data(name):
+    return parse_quartet_file(DATA.joinpath(name).read_text())
+
+
+class TestWalkSize:
+    """How many trees the binary walk builds, pinned so that a pruning
+    regression fails here instead of only running slower."""
+
+    @pytest.mark.parametrize(
+        "call, qs, built",
+        [
+            (defines, _swap15(minimal_definitive_set(10)), 477),
+            (defines, _swap15(minimal_definitive_set(11)), 2730),
+            (defines, _swap15(minimal_definitive_set(12)), 18843),
+            (minimality_report, _swap15(minimal_definitive_set(10)), 567),
+            (minimality_report, _swap15(minimal_definitive_set(11)), 2958),
+            (minimality_report, _swap15(minimal_definitive_set(12)), 19564),
+            (minimality_report, minimal_definitive_set(8), 15),
+            (minimality_report, minimal_definitive_set(12), 301),
+            (minimality_report, _data("q6.txt"), 5),
+            (minimality_report, _data("q7.txt"), 9),
+        ],
+        ids=[
+            "defines-swap15-10", "defines-swap15-11", "defines-swap15-12",
+            "report-swap15-10", "report-swap15-11", "report-swap15-12",
+            "report-8", "report-12", "report-q6", "report-q7",
+        ],
+    )
+    def test_children_built(self, call, qs, built, monkeypatch):
+        sizes = []
+        real = decide._insert
+
+        def counting(*args):
+            children = real(*args)
+            sizes.append(len(children))
+            return children
+
+        monkeypatch.setattr(decide, "_insert", counting)
+        call(qs)
+        assert sum(sizes) == built
+
+
 class TestScanCap:
     """The cap bounds only the binary scan, not the certificate."""
 
@@ -645,3 +693,9 @@ class TestScanCap:
         message = str(info.value)
         assert "closure certificate did not settle" in message
         assert "cap 12" in message
+
+    def test_displayers_refuse_before_the_first_tree(self):
+        with pytest.raises(TooManyLeavesError):
+            displayers(minimal_definitive_set(13), mode="binary", limit=0)
+        with pytest.raises(TooManyLeavesError):
+            displayers(minimal_definitive_set(10), mode="all", limit=0)

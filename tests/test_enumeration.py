@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from quartets import (
-    QuartetError,
     QuartetSet,
     TooFewLeavesError,
     TooManyLeavesError,
@@ -17,7 +16,7 @@ from quartets import (
     normalized_quartet,
     tree_from_splits,
 )
-from quartets.decide import _level_quartets, _oracle_displayers
+from quartets.decide import _binary_walk, _oracle_displayers
 from quartets.enumeration import _stream_masks
 from quartets.model import _displays_masks
 
@@ -73,14 +72,15 @@ def test_stream_is_restartable_and_deterministic():
 
 
 def _assert_pruned_is_filtered(qs, mode, whole):
-    """The pruned binary stream, or for "all" the oracle walk, is the full
-    stream filtered by display, in order."""
+    """The binary walk with nothing pending, or for "all" the oracle walk,
+    is the full stream filtered by display, in order."""
     pairs = [q.pair_masks() for q in qs.sorted_quartets()]
     expected = [m for m in whole if _displays_masks(m, pairs)]
     if mode == "all":
         assert list(_oracle_displayers(qs, None)) == expected
     else:
-        assert list(_stream_masks(qs.leaves.n, mode, _level_quartets(qs))) == expected
+        walked = list(_binary_walk(qs.sorted_quartets(), qs.leaves.n))
+        assert walked == [(None, m) for m in expected]
     return len(expected)
 
 
@@ -125,11 +125,6 @@ def test_pruned_stream_on_the_eight_leaf_construction_minus_one(mode):
     whole = list(_stream_masks(8, mode))
     for q in qs.sorted_quartets():
         assert _assert_pruned_is_filtered(qs.without_quartet(q), mode, whole) > 1
-
-
-def test_pruning_is_binary_only():
-    with pytest.raises(QuartetError):
-        next(_stream_masks(5, "all", {4: [(1 << 3, 0b11)]}))
 
 
 def test_caps_enforced():
