@@ -17,6 +17,22 @@ contracting the edge left loose); at levels 5 and 6 every witness but
 one is such a contraction. Every witness is checked on the spot and a
 WitnessCheckError means the construction is broken, never that the
 caller misused it.
+
+The chain works in mask space over one leaf set per level. Label j is
+leaf index j-1, so model.cherry_replace(W, k-1, k) adds index k-1 after
+every other: each split side holding index k-2 gains k-1, and the new
+cherry {k-2, k-1} is one more split. model.reverse maps index j to
+k-1-j, which reverses each mask's k bits before recanonicalising. Each
+witness still becomes a PhyloTree, with the model's mask checks, and is
+validated in full.
+
+The cherry lemma says why carrying works, and the tests check it on the
+chain: if W' = cherry_replace(W, k-1, k) and quartet q does not hold
+both k-1 and k, then W' displays q exactly when W displays q with k
+renamed k-1. So a carried witness displays every quartet of its level
+that it should, except the two new quartets holding both k-1 and k,
+for which the cherry is the separating split. The verifier does not use
+the lemma to skip any check.
 """
 
 from __future__ import annotations
@@ -24,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decide import _undistinguished_masks, defines
-from .errors import TooFewLeavesError, WitnessCheckError
+from .errors import QuartetError, TooFewLeavesError, WitnessCheckError
 from .model import (
     LeafSet,
     PhyloTree,
@@ -33,16 +49,29 @@ from .model import (
     Split,
     _canonical,
     _displays_masks,
-    cherry_replace,
     contract,
     displays,
     integer_leaves,
-    make_quartet,
-    reverse,
+    normalized_quartet,
 )
 
 _BASE5 = ((1, 2, 3, 4), (1, 4, 3, 5))
 _BASE6 = ((1, 2, 3, 5), (1, 3, 4, 6), (1, 2, 5, 6), (2, 4, 5, 6))
+# leaf index orders: the level-5 target 1,2,4,3,5 and the level-6
+# witness for quartet 3, 2,4,6,1,5,3
+_TARGET5_ORDER = (0, 1, 3, 2, 4)
+_WITNESS6_ORDER = (1, 3, 5, 0, 4, 2)
+
+
+def _prefix_masks(order, full: int) -> list[int]:
+    """Split masks of the caterpillar with leaf indices in this order:
+    its prefixes of sizes 2 through n-2, canonicalised."""
+    prefix = 1 << order[0]
+    masks = []
+    for i in order[1:-2]:
+        prefix |= 1 << i
+        masks.append(_canonical(prefix, full))
+    return masks
 
 
 def caterpillar_from_order(order) -> PhyloTree:
@@ -55,14 +84,8 @@ def caterpillar_from_order(order) -> PhyloTree:
     leaves = LeafSet.from_labels(labels)
     if leaves.n < 3:
         raise TooFewLeavesError("a caterpillar needs at least three leaves")
-    full = leaves.full_mask()
-    bits = [1 << leaves.index(lab) for lab in labels]
-    prefix = bits[0]
-    masks = []
-    for b in bits[1:-2]:
-        prefix |= b
-        masks.append(_canonical(prefix, full))
-    return PhyloTree(leaves, masks)
+    indices = [leaves.index(lab) for lab in labels]
+    return PhyloTree(leaves, _prefix_masks(indices, leaves.full_mask()))
 
 
 def caterpillar(n: int) -> PhyloTree:
@@ -70,6 +93,12 @@ def caterpillar(n: int) -> PhyloTree:
     if n < 4:
         raise TooFewLeavesError("a caterpillar with an interior edge needs four leaves")
     return caterpillar_from_order(range(1, n + 1))
+
+
+def _target(leaves: LeafSet) -> PhyloTree:
+    """target_tree(n) on leaves, which must be integer_leaves(n)."""
+    order = _TARGET5_ORDER if leaves.n == 5 else range(leaves.n)
+    return PhyloTree(leaves, _prefix_masks(order, leaves.full_mask()))
 
 
 def _number_sequence(n: int) -> list[tuple[int, int, int, int]]:
@@ -85,6 +114,14 @@ def _number_sequence(n: int) -> list[tuple[int, int, int, int]]:
     return seq
 
 
+def _sequence(n: int) -> tuple[Quartet, ...]:
+    # label j is leaf index j-1 in integer_leaves(n)
+    return tuple(
+        normalized_quartet(a - 1, b - 1, c - 1, d - 1)
+        for a, b, c, d in _number_sequence(n)
+    )
+
+
 def minimal_definitive_sequence(n: int) -> tuple[Quartet, ...]:
     """The size 2n-8 definitive sequence on leaves 1..n, in recursion order.
 
@@ -93,8 +130,8 @@ def minimal_definitive_sequence(n: int) -> tuple[Quartet, ...]:
     """
     if n < 5:
         raise TooFewLeavesError("the construction starts at five leaves")
-    leaves = integer_leaves(n)
-    return tuple(make_quartet(leaves, *q) for q in _number_sequence(n))
+    integer_leaves(n)  # the model's leaf cap
+    return _sequence(n)
 
 
 def minimal_definitive_set(n: int) -> QuartetSet:
@@ -153,6 +190,18 @@ def _validate_level(
             )
 
 
+def _carried(masks: tuple[int, ...], level: int) -> list[int]:
+    """The masks of cherry_replace(W, level-1, level), from W's masks."""
+    old, new = 1 << (level - 2), 1 << (level - 1)
+    return [m | new if m & old else m for m in masks] + [old | new]
+
+
+def _reversed(masks: tuple[int, ...], level: int) -> list[int]:
+    """The masks of reverse(W) for a witness W on leaves 1..level."""
+    full = (1 << level) - 1
+    return [_canonical(int(f"{m:0{level}b}"[::-1], 2), full) for m in masks]
+
+
 def witness_chain(k: int) -> WitnessChain:
     """Witness trees for levels 5 up to k, validated at every level.
 
@@ -167,17 +216,21 @@ def witness_chain(k: int) -> WitnessChain:
     integer_leaves(k)  # the model's leaf cap, checked before any level
     witnesses: dict[int, PhyloTree] = {}
     for level in range(5, k + 1):
-        seq = minimal_definitive_sequence(level)
-        target = target_tree(level)
+        leaves = integer_leaves(level)
+        seq = _sequence(level)
+        target = _target(leaves)
         size = 2 * level - 8
         if level == 6:
-            witnesses = {3: caterpillar_from_order([2, 4, 6, 1, 5, 3])}
+            masks = _prefix_masks(_WITNESS6_ORDER, leaves.full_mask())
+            witnesses = {3: PhyloTree(leaves, masks)}
         elif level > 6:
             prev = witnesses
-            witnesses = {}
-            for i in range(1, size - 1):
-                witnesses[i] = cherry_replace(prev[i], level - 1, level)
-            witnesses[size - 1] = reverse(witnesses[3])
+            witnesses = {
+                i: PhyloTree(leaves, _carried(prev[i].masks, level))
+                for i in range(1, size - 1)
+            }
+            masks = _reversed(witnesses[3].masks, level)
+            witnesses[size - 1] = PhyloTree(leaves, masks)
         # every other quartet is the only one pinning some target edge
         for i in range(1, size + 1):
             if i not in witnesses:
@@ -216,7 +269,7 @@ def target_tree(n: int) -> PhyloTree:
     caterpillar.
     """
     if n == 5:
-        return caterpillar_from_order([1, 2, 4, 3, 5])
+        return _target(integer_leaves(5))
     return caterpillar(n)
 
 
@@ -232,10 +285,13 @@ def verify_construction(
     from n = 6), and up to oracle_max_n the exhaustive oracle agrees.
     cap bounds the oracle and any scan fast mode falls back on. The
     chain is built once, up to max_n: a failure at one level fails that
-    level and every level above it.
+    level and every level above it. oracle_max_n below 5 asks for no
+    oracle rows; a negative one is refused.
     """
     if max_n < 5:
         raise TooFewLeavesError("verification starts at five leaves")
+    if oracle_max_n < 0:
+        raise QuartetError(f"oracle_max_n must be at least 0, not {oracle_max_n}")
     chain_fails_from = max_n + 1
     try:
         witness_chain(max_n)
@@ -243,8 +299,9 @@ def verify_construction(
         chain_fails_from = e.level
     levels = []
     for n in range(5, max_n + 1):
-        qs = minimal_definitive_set(n)
-        target = target_tree(n)
+        leaves = integer_leaves(n)
+        qs = QuartetSet(leaves, frozenset(_sequence(n)))
+        target = _target(leaves)
         checks: list[tuple[str, bool]] = []
         checks.append(("size", len(qs) == 2 * n - 8))
         checks.append(

@@ -227,6 +227,13 @@ class TestVerifyTheorem:
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
 
+    def test_negative_oracle_bound(self):
+        out = run("verify-theorem", "--max-n", "6", "--oracle-max-n", "-3", "--json")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: oracle_max_n")
+        assert out.stderr.count("\n") == 1
+
 
 class TestSearch:
     def test_finds_and_is_reproducible(self):

@@ -1,25 +1,31 @@
 """Small definitive sets, their witnesses, and the level-by-level checker."""
 
 import hashlib
+import itertools
 
 import pytest
 
 from quartets import (
+    LeafSet,
     PhyloTree,
+    QuartetError,
     TooFewLeavesError,
     TooManyLeavesError,
     WitnessChain,
     WitnessCheckError,
     caterpillar,
     caterpillar_from_order,
+    cherry_replace,
     defines,
     displays,
+    enumerate_trees,
     inference_closure,
     integer_leaves,
     make_quartet,
     minimal_definitive_sequence,
     minimal_definitive_set,
     minimality_report,
+    normalized_quartet,
     reverse,
     serialize_newick,
     target_tree,
@@ -246,6 +252,76 @@ class TestWitnessChain:
             verify_construction(65)
 
 
+@pytest.fixture(scope="module")
+def chains():
+    return {k: witness_chain(k) for k in range(6, 31)}
+
+
+class TestMaskStep:
+    # the chain carries witnesses up in mask space; model surgery is the
+    # reference for every carried and reversed witness
+    @pytest.mark.parametrize("k", range(7, 31))
+    def test_matches_model_surgery(self, chains, k):
+        prev, cur = chains[k - 1].witnesses, chains[k].witnesses
+        size = 2 * k - 8
+        for i in range(1, size - 1):
+            assert cur[i] == cherry_replace(prev[i], k - 1, k), i
+        assert cur[size - 1] == reverse(cur[3])
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_every_tree(self, n):
+        for tree in enumerate_trees(n, "all"):
+            grown = cherry_replace(tree, n, n + 1)
+            assert sorted(construct._carried(tree.masks, n + 1)) == list(grown.masks)
+            assert sorted(construct._reversed(tree.masks, n)) == list(reverse(tree).masks)
+
+    @pytest.mark.parametrize("k", [12, 30])
+    def test_one_leaf_set_per_level(self, monkeypatch, k):
+        built = []
+        real = LeafSet.__post_init__
+
+        def counting(self):
+            built.append(self.labels)
+            real(self)
+
+        monkeypatch.setattr(LeafSet, "__post_init__", counting)
+        witness_chain(k)
+        levels = k - 4
+        assert len(built) <= levels + 2
+
+
+def _all_quartets(n):
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        yield from (
+            normalized_quartet(a, b, c, d),
+            normalized_quartet(a, c, b, d),
+            normalized_quartet(a, d, b, c),
+        )
+
+
+class TestCherryLemma:
+    # if W' = cherry_replace(W, k-1, k) and q does not hold both k-1 and
+    # k, W' displays q exactly when W displays q with k renamed k-1
+    @pytest.mark.parametrize("k", range(7, 31))
+    def test_on_the_chain(self, chains, k):
+        old, new = k - 2, k - 1  # leaf indices of labels k-1 and k
+        if k <= 9:
+            quartets = list(_all_quartets(k))
+        else:
+            quartets = minimal_definitive_sequence(k) + minimal_definitive_sequence(k - 1)
+        prev, cur = chains[k - 1].witnesses, chains[k].witnesses
+        checked = 0
+        for i in range(1, 2 * k - 9):
+            for q in quartets:
+                ix = q.indices()
+                if old in ix and new in ix:
+                    continue
+                renamed = normalized_quartet(*(old if x == new else x for x in ix))
+                assert displays(cur[i], q) == displays(prev[i], renamed), (i, q)
+                checked += 1
+        assert checked
+
+
 class TestVerifyConstruction:
     def test_report_shape(self):
         report = verify_construction(7, oracle_max_n=6)
@@ -320,6 +396,18 @@ class TestVerifyConstruction:
     def test_too_small(self):
         with pytest.raises(TooFewLeavesError):
             verify_construction(4)
+
+    def test_negative_oracle_bound_is_refused(self):
+        with pytest.raises(QuartetError, match="oracle_max_n"):
+            verify_construction(6, oracle_max_n=-3)
+
+    @pytest.mark.parametrize("bound", [0, 4])
+    def test_low_oracle_bound_means_no_oracle_rows(self, bound):
+        report = verify_construction(6, oracle_max_n=bound)
+        assert report.all_ok
+        assert all(
+            "oracle_defines_target" not in dict(lv.checks) for lv in report.levels
+        )
 
 
 class TestMinimalityOfTheFamily:
