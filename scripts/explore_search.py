@@ -23,7 +23,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     for n in args.n:
-        family = 2 * n - 8 if n > 5 else 2
+        family = 2 * n - 8 if n >= 5 else None  # the family starts at five leaves
         best = None
         for seed in range(1, args.seeds + 1):
             for f in run_search(n, target_size=1, budget=args.budget, seed=seed):
@@ -32,10 +32,11 @@ def main(argv=None):
         if best is None:
             print(f"n={n}: nothing found (budget too small?)")
             continue
-        marker = ""
-        if best.size > family:
-            marker = "  <-- larger than the constructed family"
-        print(f"n={n}: constructed size {family}, best found {best.size}{marker}")
+        if family is None:
+            print(f"n={n}: best found {best.size}")
+        else:
+            marker = "  <-- larger than the constructed family" if best.size > family else ""
+            print(f"n={n}: constructed size {family}, best found {best.size}{marker}")
         for text in best.quartets.texts():
             print(f"    {text}")
 

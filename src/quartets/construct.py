@@ -5,7 +5,9 @@ For every n >= 5 this module builds a quartet set of size 2n-8 on leaves
 bound by pinning several edges with shared quartets. The family is
 defined by a two-step recursion: carry most of the previous level over
 unchanged, bump the highest leaf in its last two quartets, then add two
-fresh quartets anchoring the new cherry.
+fresh quartets anchoring the new cherry. One generator steps it once per
+level; the witness chain, the verifier and minimal_definitive_sequence
+all read their sequences from it.
 
 Minimality is established constructively, and the verifier uses no
 other proof: for each quartet q_i a witness tree is produced that
@@ -38,6 +40,7 @@ the lemma to skip any check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .decide import _undistinguished_masks, defines
 from .errors import QuartetError, TooFewLeavesError, WitnessCheckError
@@ -52,9 +55,9 @@ from .model import (
     contract,
     displays,
     integer_leaves,
-    normalized_quartet,
 )
 
+# both bases are in labels and already in the Quartet normal form
 _BASE5 = ((1, 2, 3, 4), (1, 4, 3, 5))
 _BASE6 = ((1, 2, 3, 5), (1, 3, 4, 6), (1, 2, 5, 6), (2, 4, 5, 6))
 # leaf index orders: the level-5 target 1,2,4,3,5 and the level-6
@@ -101,25 +104,20 @@ def _target(leaves: LeafSet) -> PhyloTree:
     return PhyloTree(leaves, _prefix_masks(order, leaves.full_mask()))
 
 
-def _number_sequence(n: int) -> list[tuple[int, int, int, int]]:
-    if n == 5:
-        return list(_BASE5)
-    seq = list(_BASE6)
-    for k in range(7, n + 1):
-        head = seq[:-2]
-        bumped = [
-            tuple(k if x == k - 1 else x for x in q) for q in seq[-2:]
-        ]
-        seq = head + bumped + [(1, k - 4, k - 1, k), (k - 4, k - 2, k - 1, k)]
-    return seq
-
-
-def _sequence(n: int) -> tuple[Quartet, ...]:
-    # label j is leaf index j-1 in integer_leaves(n)
-    return tuple(
-        normalized_quartet(a - 1, b - 1, c - 1, d - 1)
-        for a, b, c, d in _number_sequence(n)
-    )
+def _sequences(k: int) -> Iterator[tuple[Quartet, ...]]:
+    """The sequences of levels 5 up to k, in indices: label j is index j-1."""
+    yield tuple(Quartet(*(x - 1 for x in q)) for q in _BASE5)
+    seq = [Quartet(*(x - 1 for x in q)) for q in _BASE6]
+    for level in range(6, k + 1):
+        if level > 6:
+            # labels: level-1 becomes level in the last two quartets, then
+            # 1,level-4|level-1,level and level-4,level-2|level-1,level
+            old, new = level - 2, level - 1
+            seq[-2:] = [
+                Quartet(*(new if x == old else x for x in q.indices())) for q in seq[-2:]
+            ]
+            seq += [Quartet(0, level - 5, old, new), Quartet(level - 5, level - 3, old, new)]
+        yield tuple(seq)
 
 
 def minimal_definitive_sequence(n: int) -> tuple[Quartet, ...]:
@@ -131,7 +129,8 @@ def minimal_definitive_sequence(n: int) -> tuple[Quartet, ...]:
     if n < 5:
         raise TooFewLeavesError("the construction starts at five leaves")
     integer_leaves(n)  # the model's leaf cap
-    return _sequence(n)
+    *_, seq = _sequences(n)
+    return seq
 
 
 def minimal_definitive_set(n: int) -> QuartetSet:
@@ -215,9 +214,8 @@ def witness_chain(k: int) -> WitnessChain:
         raise TooFewLeavesError("the witness chain starts at five leaves")
     integer_leaves(k)  # the model's leaf cap, checked before any level
     witnesses: dict[int, PhyloTree] = {}
-    for level in range(5, k + 1):
+    for level, seq in enumerate(_sequences(k), start=5):
         leaves = integer_leaves(level)
-        seq = _sequence(level)
         target = _target(leaves)
         size = 2 * level - 8
         if level == 6:
@@ -265,12 +263,11 @@ def target_tree(n: int) -> PhyloTree:
     """The tree the level-n sequence defines.
 
     The five leaf base case defines the caterpillar in the order
-    1,2,4,3,5; from six leaves up the target is the natural-order
-    caterpillar.
+    1,2,4,3,5; every other n >= 4 gives the natural-order caterpillar.
     """
-    if n == 5:
-        return _target(integer_leaves(5))
-    return caterpillar(n)
+    if n < 4:
+        raise TooFewLeavesError("a caterpillar with an interior edge needs four leaves")
+    return _target(integer_leaves(n))
 
 
 def verify_construction(
@@ -298,9 +295,9 @@ def verify_construction(
     except WitnessCheckError as e:
         chain_fails_from = e.level
     levels = []
-    for n in range(5, max_n + 1):
+    for n, seq in enumerate(_sequences(max_n), start=5):
         leaves = integer_leaves(n)
-        qs = QuartetSet(leaves, frozenset(_sequence(n)))
+        qs = QuartetSet(leaves, frozenset(seq))
         target = _target(leaves)
         checks: list[tuple[str, bool]] = []
         checks.append(("size", len(qs) == 2 * n - 8))

@@ -485,14 +485,10 @@ def relabel(x, mapping: Mapping, *, leaves: LeafSet | None = None):
 def reverse(x, *, leaves: LeafSet | None = None):
     """Relabel j to n+1-j; needs the leaf set to be exactly 1..n."""
     ls = leaves if leaves is not None else x.leaves
-    try:
-        values = sorted(int(l) for l in ls.labels)
-    except ValueError:
-        raise QuartetError("reversal needs integer leaf labels") from None
     n = ls.n
-    if values != list(range(1, n + 1)):
-        raise QuartetError("reversal needs consecutive labels 1..n")
     mapping = {str(j): str(n + 1 - j) for j in range(1, n + 1)}
+    if set(ls.labels) != mapping.keys():
+        raise QuartetError("reversal needs the labels 1..n")
     if isinstance(x, Quartet):
         return relabel(x, mapping, leaves=ls)
     return relabel(x, mapping)

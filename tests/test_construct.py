@@ -28,6 +28,7 @@ from quartets import (
     normalized_quartet,
     reverse,
     serialize_newick,
+    serialize_quartet_set,
     target_tree,
     verify_construction,
     witness_chain,
@@ -144,6 +145,22 @@ class TestTargetTree:
     @pytest.mark.parametrize("n", range(6, 11))
     def test_rest_are_caterpillars(self, n):
         assert target_tree(n) == caterpillar(n)
+
+    def test_four_is_the_caterpillar(self):
+        assert target_tree(4) == caterpillar(4)
+
+    def test_too_few(self):
+        with pytest.raises(TooFewLeavesError):
+            target_tree(3)
+
+    def test_output_to_the_leaf_cap_is_pinned(self):
+        # every set and target of the family, 5 to 64 leaves
+        text = "".join(
+            serialize_quartet_set(minimal_definitive_set(k)) + serialize_newick(target_tree(k))
+            for k in range(5, 65)
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "19c8f3f6951d11dc42110074df631786597aac56f2797deef00e02120dfab395"
 
     def test_five_is_defined_by_the_seed(self):
         qs = minimal_definitive_set(5)

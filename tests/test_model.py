@@ -289,6 +289,18 @@ class TestRelabel:
         with pytest.raises(QuartetError):
             reverse(tree)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [["01", "2", "3", "4"], ["1", "2", "3", "+4"], ["1", "2", "3", "x"]],
+        ids=["leading-zero", "plus-sign", "non-numeric"],
+    )
+    def test_reverse_needs_exactly_the_labels_one_to_n(self, labels):
+        # "01" and "+4" parse as integers but are not the labels 1..n
+        tree = caterpillar_from_order(labels)
+        with pytest.raises(QuartetError, match="reversal needs the labels 1..n") as info:
+            reverse(tree)
+        assert not isinstance(info.value, UnknownLeafError)
+
     def test_displays_invariant_under_relabel(self):
         # sample trees from the stream, quartets and label permutations at random
         rng = random.Random(2024)

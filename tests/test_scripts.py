@@ -25,3 +25,11 @@ def test_reproduce_results():
 def test_explore_search():
     out = run("explore_search.py", "--n", "6", "--budget", "50", "--seeds", "1")
     assert out.returncode == 0, out.stderr
+
+
+def test_explore_search_below_the_family():
+    # the constructed family starts at five leaves, so n = 4 has no size to compare
+    out = run("explore_search.py", "--n", "4", "--budget", "50", "--seeds", "1")
+    assert out.returncode == 0, out.stderr
+    assert "n=4:" in out.stdout
+    assert "constructed" not in out.stdout
