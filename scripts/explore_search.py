@@ -12,7 +12,7 @@ Example:
 import argparse
 import sys
 
-from quartets import run_search
+from quartets import QuartetError, run_search
 
 
 def main(argv=None):
@@ -21,7 +21,14 @@ def main(argv=None):
     parser.add_argument("--budget", type=int, default=2000, help="trials per seed")
     parser.add_argument("--seeds", type=int, default=3, help="seeds 1..k per n")
     args = parser.parse_args(argv)
+    try:
+        return explore(args)
+    except QuartetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def explore(args):
     for n in args.n:
         family = 2 * n - 8 if n >= 5 else None  # the family starts at five leaves
         best = None

@@ -13,10 +13,12 @@ import time
 from quartets import (
     count_trees,
     displayers,
+    enumerate_trees,
     inference_closure,
     integer_leaves,
     minimal_definitive_set,
     make_quartet,
+    QuartetError,
     QuartetSet,
     serialize_newick,
     serialize_quartet_set,
@@ -42,6 +44,17 @@ def main(argv=None):
         help="largest n for the binary-count cross-check",
     )
     args = parser.parse_args(argv)
+    try:
+        return reproduce(args)
+    except QuartetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def reproduce(args):
+    # opening the stream checks the enumeration cap, so a count that would
+    # run for hours is refused before any work
+    enumerate_trees(args.binary_count_n, "binary")
     failures = 0
 
     print("== golden sets ==")
@@ -78,7 +91,7 @@ def main(argv=None):
 
     print("\n== tree counts ==")
     for n in range(4, args.binary_count_n + 1):
-        got = count_trees(n, "binary", cap=max(12, n))
+        got = count_trees(n, "binary")
         want = double_factorial_count(n)
         tag = "ok" if got == want else "FAIL"
         if got != want:

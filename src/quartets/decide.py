@@ -10,12 +10,12 @@ already present. So a tree displays xy|zk exactly when its ancestor at
 the level of its largest leaf k does, and a quartet's status is settled
 once its last leaf is in.
 
-* oracle mode grows every tree with no degree-2 vertices by leaf
-  insertion, building every child of every surviving tree, and tests
-  each child only against the quartets whose largest leaf it has just
-  inserted; a child that fails is dropped with its whole subtree. What
-  survives to the last leaf is counted. It is the ground truth and is
-  deliberately kept free of the shortcuts below.
+* oracle mode reads the enumeration stream of every tree with no
+  degree-2 vertices, filtered as it grows: each child of a surviving
+  tree is tested only against the quartets whose largest leaf it has
+  just received, and one that fails is dropped with its whole subtree.
+  What survives to the last leaf is counted. It is the ground truth and
+  is deliberately kept free of the shortcuts below.
 * fast mode first tries the closure certificate below. When that does
   not settle Q, it scans binary trees for displayers, stopping at two,
   then certifies uniqueness among non-binary trees by checking that
@@ -44,11 +44,11 @@ witness is the first tree in stream order that misses q alone, and one
 walk that follows trees missing at most one such quartet finds every
 witness. The scan cap bounds only the scans.
 
-One walk of the binary stream, _binary_walk, serves both the scan and
-the witnesses. It prunes before it builds: leaf k goes only into edges
-where the child displays the quartets whose largest leaf is k, and its
-docstring gives the argument. All-tree displayers come from the oracle
-walk alone.
+_binary_walk, decide's only walk, serves only the fast route: the scan
+and the minimality witnesses. It prunes before it builds: leaf k goes
+only into edges where the child displays the quartets whose largest
+leaf is k, and its docstring gives the argument. The oracle, displayers
+and semantic_infers read the filtered enumeration stream instead.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Literal
 
-from .enumeration import _check_mode, _check_size, _children, _edges, _insert, Mode
+from .enumeration import _check_mode, _check_size, _edges, _insert, _stream_masks, Mode
 from .errors import (
     AmbientMismatchError,
     QuartetError,
@@ -267,33 +267,21 @@ def _check_scan(n: int, cap: int | None, lead: str) -> None:
         raise TooManyLeavesError(f"{lead}: {e}") from None
 
 
-def _oracle_displayers(qs: QuartetSet, cap: int | None) -> Iterator[tuple[int, ...]]:
+def _oracle_displayers(
+    qs: QuartetSet, cap: int | None, mode: Mode = "all"
+) -> Iterator[tuple[int, ...]]:
     """Every tree on qs's leaves displaying all of qs, in stream order.
 
-    A depth-first walk over every child of every surviving tree. Each
-    child is tested against the quartets whose largest leaf it has just
-    inserted, and one that fails is dropped with its whole subtree.
+    The enumeration stream itself, filtered as it grows: each tree is
+    tested against the quartets whose largest leaf it has just received,
+    and one that fails is dropped with every tree grown from it.
     """
     n = qs.leaves.n
-    _check_size(n, "all", cap)
+    _check_size(n, mode, cap)
     levels: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for q in qs.sorted_quartets():
         levels[max(q.b, q.d)].append(q.pair_masks())
-
-    def walk() -> Iterator[tuple[int, ...]]:
-        stack: list[tuple[tuple[int, ...], int]] = [((), 3)]
-        while stack:
-            splits, k = stack.pop()
-            if k == n:
-                yield splits
-                continue
-            children = _children(splits, k, True)
-            pairs = levels.get(k)
-            if pairs:
-                children = [c for c in children if _displays_masks(c, pairs)]
-            stack.extend((c, k + 1) for c in reversed(children))
-
-    return walk()
+    return _stream_masks(n, mode, levels)
 
 
 def _pairs(qs: QuartetSet) -> list[tuple[int, int]]:
@@ -425,18 +413,14 @@ def displayers(
     leaves defaults to the quartet set's own ambient leaf set and may be
     any superset of the leaves actually mentioned. limit, when given,
     must be at least 0 and truncates the result to that many displayers.
-    "all" mode reads the oracle walk; "binary" mode reads the binary walk.
+    Both modes read the oracle: the enumeration stream in that mode,
+    filtered as it grows.
     """
     _check_mode(mode)
     if limit is not None and limit < 0:
         raise QuartetError(f"limit must be at least 0, got {limit}")
     ambient = leaves if leaves is not None else qs.leaves
-    moved = qs.translate(ambient)
-    if mode == "all":
-        stream = _oracle_displayers(moved, cap)
-    else:
-        _check_size(ambient.n, "binary", cap)
-        stream = (masks for _, masks in _binary_walk(moved.sorted_quartets(), ambient.n))
+    stream = _oracle_displayers(qs.translate(ambient), cap, mode)
     return [PhyloTree(ambient, masks) for masks in islice(stream, limit)]
 
 
@@ -556,6 +540,11 @@ def minimality_report(
     trees that miss at most one of these quartets. A quartet with no
     such tree is redundant: every edge of T is pinned without it, and T
     is the only binary tree left.
+
+    mode picks only how definitiveness is decided: in both modes the
+    removal witnesses come from the edge check, the closure and the
+    pruned walk under the binary cap, and TestMinimalityAgainstTheOracle
+    checks them against the oracle.
     """
     verdict = defines(qs, mode=mode, cap=cap)
     size = len(qs)
@@ -615,9 +604,9 @@ def semantic_infers(
     """Whether every tree displaying all of qs also displays q.
 
     Exhaustive over the trees with no degree-2 vertices on the ambient
-    leaves (default: the quartet set's own) that display qs, as found by
-    the oracle walk. The quartet q is indexed against the quartet set's
-    leaf set.
+    leaves (default: the quartet set's own) that display qs, as read
+    from the oracle's filtered enumeration stream. The quartet q is
+    indexed against the quartet set's leaf set.
     """
     ambient = leaves if leaves is not None else qs.leaves
     moved = qs.translate(ambient)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .errors import QuartetError, TooFewLeavesError, TooManyLeavesError
-from .model import LeafSet, PhyloTree, integer_leaves
+from .model import LeafSet, PhyloTree, _displays_masks, integer_leaves
 
 Mode = Literal["binary", "all"]
 
@@ -91,8 +91,14 @@ def _children(splits: tuple[int, ...], k: int, all_mode: bool) -> list[tuple[int
     return children
 
 
-def _stream_masks(n: int, mode: Mode) -> Iterator[tuple[int, ...]]:
-    """Yield split-mask tuples of every tree on leaf indices 0..n-1."""
+def _stream_masks(
+    n: int, mode: Mode, levels: dict[int, list[tuple[int, int]]] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Yield split-mask tuples of every tree on leaf indices 0..n-1.
+
+    With levels, a tree that has just received leaf k and fails to display
+    the pair masks levels[k] is dropped with every tree grown from it.
+    """
     all_mode = mode == "all"
     if n == 3:
         yield ()
@@ -101,6 +107,9 @@ def _stream_masks(n: int, mode: Mode) -> Iterator[tuple[int, ...]]:
     while stack:
         splits, k = stack.pop()
         children = _children(splits, k, all_mode)
+        pairs = levels.get(k) if levels else None
+        if pairs:
+            children = [c for c in children if _displays_masks(c, pairs)]
         if k == n - 1:
             yield from children
         else:

@@ -484,6 +484,10 @@ def relabel(x, mapping: Mapping, *, leaves: LeafSet | None = None):
 
 def reverse(x, *, leaves: LeafSet | None = None):
     """Relabel j to n+1-j; needs the leaf set to be exactly 1..n."""
+    if leaves is None and not isinstance(x, (PhyloTree, QuartetSet)):
+        if isinstance(x, Quartet):
+            raise QuartetError("reversing a bare quartet needs its leaf set")
+        raise QuartetError(f"cannot reverse {type(x).__name__}")
     ls = leaves if leaves is not None else x.leaves
     n = ls.n
     mapping = {str(j): str(n + 1 - j) for j in range(1, n + 1)}

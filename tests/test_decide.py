@@ -36,7 +36,7 @@ from quartets import (
     semantic_infers,
     undistinguished_edges,
 )
-from quartets import decide
+from quartets import decide, enumeration
 from quartets.enumeration import _children
 
 
@@ -674,6 +674,61 @@ class TestWalkSize:
 
         monkeypatch.setattr(decide, "_insert", counting)
         call(qs)
+        assert sum(sizes) == built
+
+
+def _minus_first(qs):
+    return qs.without_quartet(qs.sorted_quartets()[0])
+
+
+def _exhaustive_inputs():
+    yield _data("q6.txt")
+    yield _data("q7.txt")
+    qs = minimal_definitive_set(8)
+    for q in qs.sorted_quartets():
+        yield qs.without_quartet(q)
+
+
+class TestOracleIsTheStream:
+    """The exhaustive answers read the enumeration stream, filtered as it
+    grows, and never the pruned walk of the fast route."""
+
+    def test_never_runs_the_pruned_walk(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the pruned walk ran")
+
+        monkeypatch.setattr(decide, "_binary_walk", refuse)
+        for qs in _exhaustive_inputs():
+            found = displayers(qs, mode="all")
+            assert displayers(qs, mode="binary") == [t for t in found if t.is_binary()]
+            assert defines(qs, mode="oracle").displayer_count == len(found)
+            for query in all_quartets(qs.leaves)[:3]:
+                shown = all(displays(t, query) for t in found)
+                assert semantic_infers(qs, query) == shown
+
+    @pytest.mark.parametrize(
+        "qs, built",
+        [
+            (minimal_definitive_set(8), 571),
+            (minimal_definitive_set(9), 2696),
+            (_minus_first(minimal_definitive_set(9)), 6600),
+            (_data("q7.txt"), 182),
+        ],
+        ids=["set-8", "set-9", "set-9-minus-first", "q7"],
+    )
+    def test_children_built(self, qs, built, monkeypatch):
+        """The filter runs per level: filtering only finished trees gives
+        the same answers at many times this work."""
+        sizes = []
+        real = enumeration._insert
+
+        def counting(*args):
+            children = real(*args)
+            sizes.append(len(children))
+            return children
+
+        monkeypatch.setattr(enumeration, "_insert", counting)
+        defines(qs, mode="oracle")
         assert sum(sizes) == built
 
 

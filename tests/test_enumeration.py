@@ -10,6 +10,7 @@ from quartets import (
     TooFewLeavesError,
     TooManyLeavesError,
     count_trees,
+    displayers,
     enumerate_trees,
     integer_leaves,
     minimal_definitive_set,
@@ -72,8 +73,8 @@ def test_stream_is_restartable_and_deterministic():
 
 
 def _assert_pruned_is_filtered(qs, mode, whole):
-    """The binary walk with nothing pending, or for "all" the oracle walk,
-    is the full stream filtered by display, in order."""
+    """The binary walk with nothing pending and binary displayers, or for
+    "all" the oracle, are the full stream filtered at the end, in order."""
     pairs = [q.pair_masks() for q in qs.sorted_quartets()]
     expected = [m for m in whole if _displays_masks(m, pairs)]
     if mode == "all":
@@ -81,6 +82,7 @@ def _assert_pruned_is_filtered(qs, mode, whole):
     else:
         walked = list(_binary_walk(qs.sorted_quartets(), qs.leaves.n))
         assert walked == [(None, m) for m in expected]
+        assert [t.masks for t in displayers(qs, mode="binary")] == expected
     return len(expected)
 
 

@@ -275,6 +275,17 @@ class TestRelabel:
         q = make_quartet(ls7, 1, 2, 3, 5)
         assert reverse(q, leaves=ls7).text(ls7) == "3,5|6,7"
 
+    def test_reverse_bare_quartet_needs_its_leaf_set(self):
+        q = make_quartet(integer_leaves(7), 1, 2, 3, 5)
+        with pytest.raises(QuartetError, match="bare quartet needs its leaf set"):
+            reverse(q)
+        with pytest.raises(QuartetError, match="bare quartet needs its leaf set"):
+            relabel(q, {"1": "2", "2": "1"})
+
+    def test_reverse_rejects_a_non_tree(self):
+        with pytest.raises(QuartetError, match="cannot reverse int"):
+            reverse(42)
+
     def test_non_bijective_rejected(self, t6):
         squash = {str(j): "1" for j in range(1, 7)}
         with pytest.raises(NonBijectiveError):

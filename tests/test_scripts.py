@@ -3,6 +3,9 @@
 import pathlib
 import subprocess
 import sys
+import time
+
+import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -33,3 +36,30 @@ def test_explore_search_below_the_family():
     assert out.returncode == 0, out.stderr
     assert "n=4:" in out.stdout
     assert "constructed" not in out.stdout
+
+
+def _refused(out, message):
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error: ") and message in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_reproduce_results_refuses_a_count_past_the_cap():
+    # 13 leaves is 13.7 billion binary trees: refused before any work
+    start = time.perf_counter()
+    out = run("reproduce_results.py", "--binary-count-n", "13")
+    _refused(out, "exceeds the enumeration cap 12")
+    assert out.stdout == ""
+    assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize(
+    "max_n, message", [("65", "64-leaf cap"), ("4", "starts at five leaves")], ids=["65", "4"]
+)
+def test_reproduce_results_refuses_a_construction_out_of_range(max_n, message):
+    _refused(run("reproduce_results.py", "--max-n", max_n), message)
+
+
+def test_explore_search_refuses_three_leaves():
+    out = run("explore_search.py", "--n", "3", "--budget", "5", "--seeds", "1")
+    _refused(out, "at least four leaves")
