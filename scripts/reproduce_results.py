@@ -24,6 +24,7 @@ from quartets import (
     serialize_quartet_set,
     verify_construction,
 )
+from quartets.enumeration import BINARY_CAP
 
 
 def double_factorial_count(n):
@@ -53,8 +54,10 @@ def main(argv=None):
 
 def reproduce(args):
     # opening the stream checks the enumeration cap, so a count that would
-    # run for hours is refused before any work
-    enumerate_trees(args.binary_count_n, "binary")
+    # run for hours is refused before any work; the cap is passed, because
+    # this script has no option to raise it and the library's own refusal
+    # would advise passing one
+    enumerate_trees(args.binary_count_n, "binary", cap=BINARY_CAP)
     failures = 0
 
     print("== golden sets ==")

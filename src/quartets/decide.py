@@ -47,8 +47,11 @@ witness. The scan cap bounds only the scans.
 _binary_walk, decide's only walk, serves only the fast route: the scan
 and the minimality witnesses. It prunes before it builds: leaf k goes
 only into edges where the child displays the quartets whose largest
-leaf is k, and its docstring gives the argument. The oracle, displayers
-and semantic_infers read the filtered enumeration stream instead.
+leaf is k. It also looks ahead: a tree is dropped as soon as some
+later leaf w has no edge admitting every quartet xy|zw whose x, y and z
+are placed, since every tree grown from it hangs w on one of its edges.
+Its docstring gives both arguments. The oracle, displayers and
+semantic_infers read the filtered enumeration stream instead.
 """
 
 from __future__ import annotations
@@ -144,17 +147,31 @@ def _admissible(
     z is 1<<z and xy the mask of x and y. The one S* edge test; the
     argument is in _binary_walk.
     """
-    full = (1 << k) - 1
-    # S*: z's pendant side plus every split side holding z but not x, y;
-    # every other pendant edge has x or y on its z-side
+    # S* is the largest side holding z but neither x nor y, or z alone when
+    # there is none. Those sides are the z-sides of the edges on the path
+    # from the median to z, so they shrink along it, and the ones holding
+    # leaf 0, the complements of splits, come first. out is the rest.
     star = z
     for m in splits:
-        side = m if m & z else full ^ m
-        if not side & xy:
-            star |= side
-    out = full ^ star
+        if m & z:
+            if not m & xy:
+                star = m  # ascending, so the last one is the largest
+        elif m & xy == xy:
+            out = m  # S* is the other side of the first, smallest such m
+            break
+    else:
+        out = ((1 << k) - 1) ^ star
     # an edge is admissible iff one of its sides lies inside S*
     return [u for u in edges if not u & out or u & out == out]
+
+
+def _has_room(edges: list[int], splits: tuple[int, ...], k: int, tests) -> bool:
+    """Whether one of the edges admits every test (z, xy) of one later leaf."""
+    for z, xy in tests:
+        edges = _admissible(edges, splits, k, z, xy)
+        if not edges:
+            return False
+    return True
 
 
 _TWO_MISSES = -1
@@ -179,6 +196,16 @@ def _binary_walk(
     last leaf is in, and pruning drops no displayer, admits no extra one,
     and keeps the survivors in stream order.
 
+    It also looks ahead. Restricting any tree grown from a node to the
+    node's leaves plus a later leaf w gives the node's tree with w hung on
+    one of its edges, and that edge admits every quartet xy|zw whose x, y
+    and z the node holds. So a node where no edge admits all of them, for
+    some w, is dropped. When a leaf is inserted, an edge that admitted
+    them still does, or one of its two halves does, so only a w that has
+    just gained such a quartet is checked. Only quartets that are never
+    pending take part: they prune every node, so the dropped trees would
+    yield nothing.
+
     With nothing pending every quartet prunes, and the walk is the binary
     scan: it yields (None, masks) for each displayer of all the quartets.
 
@@ -198,13 +225,25 @@ def _binary_walk(
     if n == 3:
         yield None, ()  # the star, the only tree on three leaves
         return
+    open_ = set(pending)
     levels: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
     level_of = []
+    # by largest leaf w, the never-pending quartets xy|zw that are ready,
+    # x, y and z all placed, at a node before the one inserting w
+    early: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
     for i, q in enumerate(quartets):
         k, (z, xy) = _insertion_test(q)
         levels[k].append((i, z, xy))
         level_of.append(k)
-    open_ = set(pending)
+        ready = (z | xy).bit_length()  # the first node whose tree holds x, y, z
+        if ready < k and i not in open_:
+            early[k].append((ready, z, xy))
+    # the lookahead: at the node on leaves 0..k-1, for each later leaf that
+    # has just gained a ready quartet, the tests of all its ready quartets
+    ahead: dict[int, list[list[tuple[int, int]]]] = defaultdict(list)
+    for tests in early.values():
+        for level in {ready for ready, _, _ in tests}:
+            ahead[level].append([(z, xy) for ready, z, xy in tests if ready <= level])
     scan = not open_
     last = max((level_of[i] for i in open_), default=n)  # a scan cuts nothing
     stack: list[tuple[tuple[int, ...], int, int | None]] = [((), 3, None)]
@@ -215,8 +254,11 @@ def _binary_walk(
                 continue  # nothing open is left to miss
         elif miss not in open_:
             continue
-        here = levels.get(k, ())
         edges = _edges(splits, k)
+        checks = ahead.get(k)
+        if checks and not all(_has_room(edges, splits, k, tests) for tests in checks):
+            continue  # some later leaf has no edge left to go into
+        here = levels.get(k, ())
         for i, z, xy in here:
             if miss is not None or i not in open_:
                 edges = _admissible(edges, splits, k, z, xy)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .errors import QuartetError, TooFewLeavesError, TooManyLeavesError
-from .model import LeafSet, PhyloTree, _displays_masks, integer_leaves
+from .model import MAX_LEAVES, LeafSet, PhyloTree, _displays_masks, integer_leaves
 
 Mode = Literal["binary", "all"]
 
@@ -53,30 +53,45 @@ def _check_size(n: int, mode: str, cap: int | None) -> None:
         )
 
 
+# the pendant edges of a tree on leaves 0..k-1, ascending, for every k;
+# leaf 0's is (1 << k) - 2, since its canonical side is everyone else.
+# The rows are slices of one tuple, so they share its ints.
+_LEAF = tuple(1 << v for v in range(MAX_LEAVES))
+_PENDANT = [_LEAF[1:k] + (_LEAF[k] - 2,) for k in range(MAX_LEAVES)]
+
+
 def _edges(splits: tuple[int, ...], k: int) -> list[int]:
     """The canonical masks of every edge of a tree on leaves 0..k-1, ascending."""
-    # (1 << k) - 2 is leaf 0's pendant edge, canonical side is everyone else
-    return sorted([1 << v for v in range(1, k)] + [(1 << k) - 2] + list(splits))
+    return sorted(_PENDANT[k] + splits)
 
 
 def _insert(splits: tuple[int, ...], k: int, edges: list[int]) -> list[tuple[int, ...]]:
-    """The trees obtained by subdividing each given edge with leaf k, in order."""
+    """The trees obtained by subdividing each given edge with leaf k, in order.
+
+    splits is ascending, and so is each child, built without a sort.
+    Subdividing edge u turns each split m that strictly contains u into
+    m | 1<<k and adds u | 1<<k beside u. The sides that gain leaf k sort
+    after every other side and keep their order, and u | 1<<k is the
+    smallest of them; every other split keeps its place, u too when it
+    is one. Leaf 0's pendant edge is the exception: no split contains
+    it, u | 1<<k is trivial, and u, every leaf but 0, becomes a split
+    larger than all the others.
+    """
     bitk = 1 << k
-    hi = k - 1  # largest nontrivial side size after insertion
+    root = bitk - 2
     children = []
     for u in edges:
-        child = []
+        if u == root:
+            children.append(splits + (u,))
+            continue
+        head = []
+        tail = [u | bitk]
         for m in splits:
-            if m == u:
-                continue
-            child.append(m | bitk if u & ~m == 0 else m)
-        if 2 <= u.bit_count() <= hi:
-            child.append(u)
-        w = u | bitk
-        if 2 <= w.bit_count() <= hi:
-            child.append(w)
-        child.sort()
-        children.append(tuple(child))
+            if u & ~m or m == u:
+                head.append(m)
+            else:
+                tail.append(m | bitk)
+        children.append(tuple(head + tail))
     return children
 
 

@@ -1,6 +1,7 @@
 """Definitiveness, minimality, inference: oracle and fast paths must agree."""
 
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,8 @@ from quartets import (
     undistinguished_edges,
 )
 from quartets import decide, enumeration
-from quartets.enumeration import _children
+from quartets.enumeration import _children, _stream_masks
+from quartets.model import _displays_masks
 
 
 def split_texts(tree):
@@ -656,11 +658,14 @@ class TestWalkSize:
             (minimality_report, minimal_definitive_set(12), 301),
             (minimality_report, _data("q6.txt"), 5),
             (minimality_report, _data("q7.txt"), 9),
+            # a search decides through both walks, with the seed in qs's
+            # place; without the lookahead it builds 28,639 trees
+            (partial(run_search, 8, 6, 50), 1, 15087),
         ],
         ids=[
             "defines-swap15-10", "defines-swap15-11", "defines-swap15-12",
             "report-swap15-10", "report-swap15-11", "report-swap15-12",
-            "report-8", "report-12", "report-q6", "report-q7",
+            "report-8", "report-12", "report-q6", "report-q7", "search-8-6-50",
         ],
     )
     def test_children_built(self, call, qs, built, monkeypatch):
@@ -675,6 +680,52 @@ class TestWalkSize:
         monkeypatch.setattr(decide, "_insert", counting)
         call(qs)
         assert sum(sizes) == built
+
+
+def _first_misses(whole, quartets, pending):
+    """For each pending i, the first tree of whole that misses quartets[i]
+    and displays every other quartet, in the order of whole."""
+    pairs = [q.pair_masks() for q in quartets]
+    open_ = set(pending)
+    found = []
+    for masks in whole:
+        missed = []
+        for i, p in enumerate(pairs):
+            if not _displays_masks(masks, [p]):
+                missed.append(i)
+                if len(missed) == 2:
+                    break
+        if len(missed) == 1 and missed[0] in open_:
+            found.append((missed[0], masks))
+            open_.remove(missed[0])
+            if not open_:
+                break
+    return found
+
+
+class TestPendingWalk:
+    """With pending quartets the walk yields each one's first tree that
+    misses it alone, checked against the unpruned binary stream."""
+
+    def test_matches_the_unpruned_stream(self):
+        rng = random.Random(15)
+        streams = {n: list(_stream_masks(n, "binary")) for n in range(5, 9)}
+        witnessed = unwitnessed = 0
+        for _ in range(300):
+            n = rng.randint(5, 8)
+            source = rng.choice(streams[n])
+            chosen = set()
+            for _ in range(rng.randint(n - 3, 2 * n)):
+                options = _resolutions(rng.sample(range(n), 4))
+                shown = [q for q in options if _displays_masks(source, [q.pair_masks()])]
+                chosen.add(shown[0] if rng.random() < 0.9 else rng.choice(options))
+            quartets = sorted(chosen)
+            pending = sorted(rng.sample(range(len(quartets)), rng.randint(1, len(quartets))))
+            expected = _first_misses(streams[n], quartets, pending)
+            assert list(decide._binary_walk(quartets, n, pending)) == expected
+            witnessed += len(expected)
+            unwitnessed += len(pending) - len(expected)
+        assert witnessed and unwitnessed
 
 
 def _minus_first(qs):

@@ -18,7 +18,7 @@ from quartets import (
     tree_from_splits,
 )
 from quartets.decide import _binary_walk, _oracle_displayers
-from quartets.enumeration import _stream_masks
+from quartets.enumeration import _edges, _insert, _stream_masks
 from quartets.model import _displays_masks
 
 
@@ -70,6 +70,30 @@ def test_yielded_trees_survive_validation():
 def test_stream_is_restartable_and_deterministic():
     stream = enumerate_trees(integer_leaves(6), "all")
     assert list(stream) == list(stream)
+
+
+def _insert_by_sorting(splits, k, edges):
+    """Subdivide each edge with leaf k and sort each child's splits."""
+    bitk = 1 << k
+    children = []
+    for u in edges:
+        child = [m | bitk if u & ~m == 0 else m for m in splits if m != u]
+        child += [s for s in (u, u | bitk) if 2 <= s.bit_count() <= k - 1]
+        children.append(tuple(sorted(child)))
+    return children
+
+
+@pytest.mark.parametrize("mode", ["binary", "all"])
+def test_insert_matches_a_sorted_rebuild(mode):
+    # every parent of a tree on up to 8 leaves, with all its edges and with
+    # every second one, as the walk passes the edges it has not pruned
+    for k in range(3, 8):
+        for splits in _stream_masks(k, mode):
+            edges = _edges(splits, k)
+            pendant = [1 << v for v in range(1, k)] + [(1 << k) - 2]
+            assert edges == sorted(pendant + list(splits))
+            for some in (edges, edges[::2], edges[1::2]):
+                assert _insert(splits, k, some) == _insert_by_sorting(splits, k, some)
 
 
 def _assert_pruned_is_filtered(qs, mode, whole):

@@ -49,6 +49,7 @@ def test_reproduce_results_refuses_a_count_past_the_cap():
     start = time.perf_counter()
     out = run("reproduce_results.py", "--binary-count-n", "13")
     _refused(out, "exceeds the enumeration cap 12")
+    assert "override" not in out.stderr  # the script has no cap option
     assert out.stdout == ""
     assert time.perf_counter() - start < 30
 
