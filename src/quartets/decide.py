@@ -76,6 +76,7 @@ from .model import (
     Split,
     _canonical,
     _displays_masks,
+    _unchecked_tree,
     _unique_separator,
     contract,
 )
@@ -463,7 +464,7 @@ def displayers(
         raise QuartetError(f"limit must be at least 0, got {limit}")
     ambient = leaves if leaves is not None else qs.leaves
     stream = _oracle_displayers(qs.translate(ambient), cap, mode)
-    return [PhyloTree(ambient, masks) for masks in islice(stream, limit)]
+    return [_unchecked_tree(ambient, masks) for masks in islice(stream, limit)]
 
 
 def _resolve_ambient(

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .errors import QuartetError, TooFewLeavesError, TooManyLeavesError
-from .model import MAX_LEAVES, LeafSet, PhyloTree, _displays_masks, integer_leaves
+from .model import (
+    MAX_LEAVES,
+    LeafSet,
+    PhyloTree,
+    _displays_masks,
+    _unchecked_tree,
+    integer_leaves,
+)
 
 Mode = Literal["binary", "all"]
 
@@ -87,7 +94,7 @@ def _insert(splits: tuple[int, ...], k: int, edges: list[int]) -> list[tuple[int
         head = []
         tail = [u | bitk]
         for m in splits:
-            if u & ~m or m == u:
+            if m <= u or m | u != m:  # not a strict superset of u
                 head.append(m)
             else:
                 tail.append(m | bitk)
@@ -96,13 +103,27 @@ def _insert(splits: tuple[int, ...], k: int, edges: list[int]) -> list[tuple[int
 
 
 def _children(splits: tuple[int, ...], k: int, all_mode: bool) -> list[tuple[int, ...]]:
-    """The trees obtained by inserting leaf k, in canonical position order."""
+    """The trees obtained by inserting leaf k, in canonical position order.
+
+    Each child's splits are ascending, built without a sort. Attaching
+    leaf k to the vertex of split v turns each split m that contains v,
+    v too, into m | 1<<k; as in _insert, those sides sort after every
+    other side and keep their order, and every other split keeps its
+    place.
+    """
     children = _insert(splits, k, _edges(splits, k))
     if all_mode:
         bitk = 1 << k
         children.append(splits)  # attach beside leaf 0's neighbour, nothing moves
         for v in splits:
-            children.append(tuple(sorted(m | bitk if v & ~m == 0 else m for m in splits)))
+            head = []
+            tail = []
+            for m in splits:
+                if m | v != m:
+                    head.append(m)
+                else:
+                    tail.append(m | bitk)
+            children.append(tuple(head + tail))
     return children
 
 
@@ -137,7 +158,12 @@ class TreeStream:
     """Restartable deterministic stream of trees on a leaf set.
 
     Iterating wraps each tree as a PhyloTree; the same object can be
-    iterated repeatedly and always replays the same order.
+    iterated repeatedly and always replays the same order. The wrap skips
+    the PhyloTree constructor's sort, dedupe and per-mask checks, which
+    every tuple _stream_masks yields would pass: each child is built
+    strictly ascending (see _insert and _children), inserting a leaf
+    never adds index 0 to a side nor shrinks one, and each new split
+    has at least two leaves on either side.
     """
 
     leaves: LeafSet
@@ -151,7 +177,7 @@ class TreeStream:
     def __iter__(self) -> Iterator[PhyloTree]:
         leaves = self.leaves
         for masks in _stream_masks(leaves.n, self.mode):
-            yield PhyloTree(leaves, masks)
+            yield _unchecked_tree(leaves, masks)
 
 
 def enumerate_trees(

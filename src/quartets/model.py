@@ -44,6 +44,8 @@ _CHUNKS = re.compile(r"(\d+)")
 
 def natural_key(label: str) -> tuple:
     """Sort key that orders digit runs numerically, so "2" < "10"."""
+    if label.isdecimal():  # one digit run; isdecimal is exactly \d
+        return (((0, int(label)),), label)
     parts = []
     for i, chunk in enumerate(_CHUNKS.split(label)):
         if not chunk:
@@ -267,6 +269,21 @@ class PhyloTree:
 
     def is_binary(self) -> bool:
         return len(self.masks) == self.n - 3
+
+
+def _unchecked_tree(leaves: LeafSet, masks: tuple[int, ...]) -> PhyloTree:
+    """The PhyloTree on masks, skipping the constructor's sort, dedupe
+    and per-mask checks.
+
+    The caller guarantees what those would establish: masks is a
+    strictly ascending tuple of canonical nontrivial split masks of
+    leaves. Only the enumeration stream, which holds this by
+    construction, should build trees this way.
+    """
+    tree = object.__new__(PhyloTree)
+    object.__setattr__(tree, "leaves", leaves)
+    object.__setattr__(tree, "masks", masks)
+    return tree
 
 
 def tree_from_splits(leaves: LeafSet, splits: Iterable[Split]) -> PhyloTree:

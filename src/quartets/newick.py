@@ -3,7 +3,8 @@
 Reading takes the usual rooted nesting, ignores branch lengths (each must
 still read as a number), rejects interior labels, and keeps only the leaf
 clusters; degree-2 vertices (including a degree-2 root) vanish on their
-own because equal clusters collapse into one split.
+own because equal clusters collapse into one split. Like writing, it
+refuses a tree on fewer than three leaves.
 
 Writing roots the tree at the vertex next to leaf 0. The split masks,
 each the side without leaf 0, nest as the clusters below that root, and
@@ -15,11 +16,14 @@ tree_from_splits checks and every tree built in this package satisfies.
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError, InteriorLabelError, QuartetError, TooFewLeavesError
 from .model import LeafSet, PhyloTree, _canonical, _move_mask
 
-# structural characters; labels may not contain these or whitespace
-_RESERVED = set("():,;|#")
+# labels may not contain structural characters or whitespace; \s matches
+# exactly the characters for which str.isspace() is true
+_BAD_LABEL_CHAR = re.compile(r"[():,;|#\s]")
 
 _LENGTH_CHARS = set("0123456789.+-eE")
 
@@ -81,8 +85,8 @@ def parse_newick(text: str) -> PhyloTree:
             clusters.append(below)
             return below
         start = pos
-        while pos < end and not text[pos].isspace() and text[pos] not in _RESERVED:
-            pos += 1
+        stop = _BAD_LABEL_CHAR.search(text, pos)
+        pos = stop.start() if stop else end
         if pos == start:
             raise ParseError("expected a leaf label", position=pos)
         labels.append(text[start:pos])
@@ -100,6 +104,8 @@ def parse_newick(text: str) -> PhyloTree:
     del root
     leaves = LeafSet.from_labels(labels)
     n = leaves.n
+    if n < 3:
+        raise TooFewLeavesError("a tree needs at least three leaves")
     full = leaves.full_mask()
     # appearance order -> bit of the label's sorted index
     bit = [1 << leaves.index(label) for label in labels]
@@ -118,9 +124,10 @@ def serialize_newick(tree: PhyloTree) -> str:
     n = leaves.n
     if n < 3:
         raise TooFewLeavesError("serialisation needs at least three leaves")
-    for label in leaves.labels:
-        if any(ch in _RESERVED or ch.isspace() for ch in label):
-            raise QuartetError(f"label {label!r} cannot be written in this format")
+    if _BAD_LABEL_CHAR.search("".join(leaves.labels)):
+        for label in leaves.labels:
+            if _BAD_LABEL_CHAR.search(label):
+                raise QuartetError(f"label {label!r} cannot be written in this format")
     # largest first, so the first split found inside a cluster that holds
     # a given leaf is the child of that cluster on the leaf's side
     order = sorted(tree.masks, key=int.bit_count, reverse=True)

@@ -1,5 +1,6 @@
 """End-to-end runs of the installed command line tool."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -158,6 +159,12 @@ class TestEnumerate:
         assert len(lines) == 4
         assert "(1,2,3,4);" in lines
         assert all(line.endswith(";") for line in lines)
+
+    def test_eight_leaf_listing_is_pinned(self):
+        out = run("enumerate", "--n", "8")
+        assert out.returncode == 0
+        digest = hashlib.sha256(out.stdout.encode()).hexdigest()
+        assert digest == "544569fde4d8ed32d3e181ba5ecfef4506aae39123cbba0b63f3840eb10ef719"
 
     def test_default_cap_refuses_big_n(self):
         out = run("enumerate", "--n", "12", "--count-only")

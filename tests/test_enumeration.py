@@ -5,7 +5,9 @@ import random
 import pytest
 
 import oracles
+from conftest import DATA
 from quartets import (
+    PhyloTree,
     QuartetSet,
     TooFewLeavesError,
     TooManyLeavesError,
@@ -15,10 +17,11 @@ from quartets import (
     integer_leaves,
     minimal_definitive_set,
     normalized_quartet,
+    parse_quartet_file,
     tree_from_splits,
 )
 from quartets.decide import _binary_walk, _oracle_displayers
-from quartets.enumeration import _edges, _insert, _stream_masks
+from quartets.enumeration import _children, _edges, _insert, _stream_masks
 from quartets.model import _displays_masks
 
 
@@ -72,6 +75,39 @@ def test_stream_is_restartable_and_deterministic():
     assert list(stream) == list(stream)
 
 
+@pytest.mark.parametrize(
+    "n, mode", [(n, mode) for n in range(4, 9) for mode in ("binary", "all")] + [(9, "binary")]
+)
+def test_stream_trees_pass_the_checking_constructor(n, mode):
+    # the stream wraps its trees unchecked; each must be the tree the
+    # checking constructor builds, on masks it would not have to fix
+    ls = integer_leaves(n)
+    for tree in enumerate_trees(ls, mode):
+        masks = tree.masks
+        assert type(masks) is tuple
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert all(not m & 1 and 2 <= m.bit_count() <= n - 2 for m in masks)
+        assert tree == PhyloTree(ls, masks)
+
+
+def test_stream_and_displayers_skip_the_checking_constructor(monkeypatch):
+    qs = parse_quartet_file((DATA / "q7.txt").read_text())
+    checked = PhyloTree.__post_init__
+    calls = 0
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        checked(self)
+
+    monkeypatch.setattr(PhyloTree, "__post_init__", counting)
+    assert sum(1 for _ in enumerate_trees(7, "all")) == 2752
+    assert len(displayers(qs)) == 1
+    assert calls == 0
+    PhyloTree(integer_leaves(4), ())
+    assert calls == 1  # the count is live
+
+
 def _insert_by_sorting(splits, k, edges):
     """Subdivide each edge with leaf k and sort each child's splits."""
     bitk = 1 << k
@@ -94,6 +130,20 @@ def test_insert_matches_a_sorted_rebuild(mode):
             assert edges == sorted(pendant + list(splits))
             for some in (edges, edges[::2], edges[1::2]):
                 assert _insert(splits, k, some) == _insert_by_sorting(splits, k, some)
+
+
+def _attach_by_sorting(splits, k):
+    """Attach leaf k to each split's vertex and sort each child's splits."""
+    bitk = 1 << k
+    return [tuple(sorted(m | bitk if v & ~m == 0 else m for m in splits)) for v in splits]
+
+
+def test_vertex_attach_matches_a_sorted_rebuild():
+    for k in range(3, 8):
+        for splits in _stream_masks(k, "all"):
+            subdivided = _children(splits, k, False)
+            expected = subdivided + [splits] + _attach_by_sorting(splits, k)
+            assert _children(splits, k, True) == expected
 
 
 def _assert_pruned_is_filtered(qs, mode, whole):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +40,15 @@ from quartets import model
 from quartets.model import natural_key
 
 
+def _natural_key_by_regex(label):
+    """natural_key without its all-decimal shortcut."""
+    parts = []
+    for i, chunk in enumerate(re.split(r"(\d+)", label)):
+        if chunk:
+            parts.append((0, int(chunk)) if i % 2 else (1, chunk))
+    return (tuple(parts), label)
+
+
 class TestLeafSet:
     def test_numeric_aware_ordering(self):
         ls = LeafSet.from_labels(["10", "2", "1"])
@@ -61,6 +71,16 @@ class TestLeafSet:
     def test_natural_key_mixes_text_and_numbers(self):
         labels = ["b2", "b10", "a", "a1"]
         assert sorted(labels, key=natural_key) == ["a", "a1", "b2", "b10"]
+
+    def test_natural_key_fast_path_matches_the_regex_path(self):
+        # "²" and "①" are digits but not decimal, so they take the regex path
+        labels = ["0", "7", "007", "10", "٣", "१२", "²", "①", "a1", "1a", ""]
+        for label in labels:
+            assert natural_key(label) == _natural_key_by_regex(label), label
+        mixed = labels[:-1]
+        random.Random(5).shuffle(mixed)
+        expected = tuple(sorted(mixed, key=_natural_key_by_regex))
+        assert LeafSet.from_labels(mixed).labels == expected
 
     def test_index_label_bijection(self):
         ls = integer_leaves(8)

@@ -1,6 +1,7 @@
 """Newick reading and writing; writing is canonical, reading is liberal."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from quartets import (
     serialize_newick,
     tree_from_splits,
 )
+from quartets.newick import _BAD_LABEL_CHAR
 
 
 class TestSerialize:
@@ -68,8 +70,19 @@ class TestSerialize:
 
     def test_reserved_label_rejected(self):
         ls = LeafSet.from_labels(["a", "b|c", "d", "e"])
-        with pytest.raises(QuartetError):
+        with pytest.raises(QuartetError, match=re.escape("'b|c'")):
             serialize_newick(PhyloTree(ls, frozenset()))
+
+    def test_whitespace_label_rejected(self):
+        ls = LeafSet.from_labels(["a", "b", "c\u2003d", "e"])
+        with pytest.raises(QuartetError, match=re.escape(repr("c\u2003d"))):
+            serialize_newick(PhyloTree(ls, frozenset()))
+
+    def test_label_pattern_is_the_character_rule(self):
+        # every code point, since the CI matrix spans several Unicode versions
+        everything = "".join(map(chr, range(0x110000)))
+        by_rule = {ch for ch in everything if ch in "():,;|#" or ch.isspace()}
+        assert set(_BAD_LABEL_CHAR.findall(everything)) == by_rule
 
 
 class TestParse:
@@ -89,6 +102,7 @@ class TestParse:
     def test_whitespace_tolerated(self, t6):
         text = " ( 1 , 2 , ( 3 , ( 4 , ( 5 , 6 ) ) ) ) ;\n"
         assert parse_newick(text) == t6
+        assert parse_newick("(1\u2003,2,(3,(4,(5,6\u3000))));") == t6
 
     def test_letter_labels(self):
         t = parse_newick("(anole,(bat,cat),(dog,emu));")
@@ -127,6 +141,16 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_newick(text)
         assert info.value.position == position
+
+    @pytest.mark.parametrize("text", ["(a);", "a;", "(a,b);", "((a,b));"])
+    def test_fewer_than_three_leaves(self, text):
+        with pytest.raises(TooFewLeavesError):
+            parse_newick(text)
+
+    def test_three_leaves(self):
+        tree = parse_newick("(a,b,c);")
+        assert tree.leaves.labels == ("a", "b", "c")
+        assert tree.masks == ()
 
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
