@@ -3,7 +3,8 @@
 Exit codes: 0 for success (or a true answer), 1 for a false answer or a
 failed check, 2 for unusable input. Every boolean-flavoured command
 mirrors its printed answer in the exit code so shell pipelines can
-branch on it without scraping output.
+branch on it without scraping output. A reader that closes the pipe
+early, such as `head`, ends the command quietly with exit code 1.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 
 from . import __version__
@@ -324,7 +326,14 @@ def main(argv=None) -> int:
     if getattr(args, "semantic", False) and not getattr(args, "query", None):
         parser.error("--semantic requires --query")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered nowhere, as the
+        # Python docs advise for SIGPIPE, so that exit does not flush it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (QuartetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

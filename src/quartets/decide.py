@@ -584,10 +584,11 @@ def minimality_report(
     such tree is redundant: every edge of T is pinned without it, and T
     is the only binary tree left.
 
-    mode picks only how definitiveness is decided: in both modes the
-    removal witnesses come from the edge check, the closure and the
-    pruned walk under the binary cap, and TestMinimalityAgainstTheOracle
-    checks them against the oracle.
+    The per-quartet checks are _removal_witnesses, which run_search's
+    strip shares. mode picks only how definitiveness is decided: in both
+    modes the removal witnesses come from the edge check, the closure and
+    the pruned walk under the binary cap, and
+    TestMinimalityAgainstTheOracle checks them against the oracle.
     """
     verdict = defines(qs, mode=mode, cap=cap)
     size = len(qs)
@@ -595,46 +596,62 @@ def minimality_report(
     if not verdict.is_definitive:
         return MinimalityReport(verdict, (), None, size, n)
     tree = verdict.tree
-    ambient = tree.leaves
-    moved = qs.translate(ambient)
-    tree_masks = tree.masks
-    quartets = moved.sorted_quartets()
+    quartets = qs.translate(tree.leaves).sorted_quartets()
+    witnesses = _removal_witnesses(quartets, tree, range(len(quartets)), cap)
+    entries = tuple((q, witnesses[i]) for i, q in enumerate(quartets))
+    minimal = all(w.kind != "redundant" for w in witnesses.values())
+    return MinimalityReport(verdict, entries, minimal, size, n)
+
+
+def _removal_witnesses(
+    quartets: list[Quartet], tree: PhyloTree, indices: Iterable[int], cap: int | None
+) -> dict[int, RemovalWitness]:
+    """The removal witness of quartets[i] for each i in indices, by index.
+
+    quartets are sorted, indexed against tree's leaves, and define tree.
+    This is the one removal check, in three steps: an edge of tree that
+    the rest leaves unpinned; the closure of the rest pinning every edge
+    from one leaf, which makes quartets[i] redundant; and one pending
+    _binary_walk for the indices still open. An index's witness depends
+    only on the quartets, so asking for fewer indices gives the same
+    witnesses for those: minimality_report asks for every index, the
+    strip in run_search for one.
+    """
+    n = tree.n
+    masks = tree.masks
     pairs = [q.pair_masks() for q in quartets]
-    witnesses: list[RemovalWitness | None] = []
-    for i in range(len(quartets)):
+    witnesses: dict[int, RemovalWitness] = {}
+    pending = []
+    for i in indices:
         rest_pairs = pairs[:i] + pairs[i + 1 :]
-        loose = _undistinguished_masks(tree_masks, rest_pairs)
+        loose = _undistinguished_masks(masks, rest_pairs)
         if loose:
-            witnesses.append(
-                RemovalWitness("undistinguished_edge", split=Split(min(loose), ambient.n))
-            )
+            split = Split(min(loose), n)
+            witnesses[i] = RemovalWitness("undistinguished_edge", split=split)
             continue
         closed = _close_pairs(rest_pairs)
         if any(
-            not _undistinguished_masks(tree_masks, _holding(closed, x))
-            for x in range(ambient.n)
+            not _undistinguished_masks(masks, _holding(closed, x)) for x in range(n)
         ):
-            witnesses.append(RemovalWitness("redundant"))
+            witnesses[i] = RemovalWitness("redundant")
         else:
-            witnesses.append(None)
-    pending = [i for i, w in enumerate(witnesses) if w is None]
+            pending.append(i)
     if pending:
         _check_scan(
-            ambient.n,
+            n,
             cap,
             f"the minimality witnesses for {len(pending)} of {len(quartets)} "
-            f"quartets on {ambient.n} leaves need the binary scan, which refuses them",
+            f"quartets on {n} leaves need the binary scan, which refuses them",
         )
-        alternatives = dict(_binary_walk(quartets, ambient.n, pending))
+        alternatives = dict(_binary_walk(quartets, n, pending))
         for i in pending:
-            masks = alternatives.get(i)
+            found = alternatives.get(i)
             witnesses[i] = (
-                RemovalWitness("alternative_tree", tree=PhyloTree(ambient, masks))
-                if masks is not None
+                RemovalWitness("alternative_tree", tree=PhyloTree(tree.leaves, found))
+                if found is not None
                 else RemovalWitness("redundant")
             )
-    minimal = all(w.kind != "redundant" for w in witnesses)
-    return MinimalityReport(verdict, tuple(zip(quartets, witnesses)), minimal, size, n)
+    return witnesses
 
 
 def semantic_infers(

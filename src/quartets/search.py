@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .decide import minimality_report, defines, NOT_DEFINITIVE
+from .decide import NOT_DEFINITIVE, _removal_witnesses, minimality_report
 from .errors import QuartetError, TooFewLeavesError
 from .model import (
     LeafSet,
@@ -44,14 +44,19 @@ class SearchFinding:
     trials_used: int
 
 
-def all_quartets(leaves: LeafSet) -> list[Quartet]:
-    """Every normalized quartet on the leaf set, in canonical order."""
+def _quartet_rows(n: int) -> list[tuple[int, int, int, int]]:
+    """Every normalized quartet on n leaves as its index tuple, in Quartet order."""
     # a < b < c < d, so these three are in normal form already, and
     # sorting the index tuples gives the Quartet order
     rows = []
-    for a, b, c, d in combinations(range(leaves.n), 4):
+    for a, b, c, d in combinations(range(n), 4):
         rows += ((a, b, c, d), (a, c, b, d), (a, d, b, c))
-    return [Quartet(*row) for row in sorted(rows)]
+    return sorted(rows)
+
+
+def all_quartets(leaves: LeafSet) -> list[Quartet]:
+    """Every normalized quartet on the leaf set, in canonical order."""
+    return [Quartet(*row) for row in _quartet_rows(leaves.n)]
 
 
 def _random_quartet_over(rng: random.Random, members: list[int]) -> Quartet:
@@ -91,11 +96,14 @@ def run_search(
 ) -> list[SearchFinding]:
     """Up to `budget` random trials for minimal definitive sets of size >= target_size.
 
-    Deterministic for a fixed (n, target_size, budget, seed). Findings
-    are deduplicated and each one has already survived a fresh
-    minimality_report before being returned. Each repair step decides
-    its set through minimality_report, so the set a trial lands on is
-    decided once, and the strip reads the report that decided it.
+    Deterministic for a fixed (n, target_size, budget, seed). Each repair
+    step decides its set through minimality_report, so the set a trial
+    lands on is decided once, and the strip reads the report that decided
+    it. The strip asks the same removal check, decide._removal_witnesses,
+    about one quartet at a time. A stripped set is re-validated by a
+    fresh minimality_report only if it can still be reported, that is if
+    it is large enough and not already found, so every finding returned
+    has survived one. Findings are deduplicated.
     """
     if n < 4:
         raise TooFewLeavesError("search needs at least four leaves")
@@ -105,13 +113,15 @@ def run_search(
         raise QuartetError("budget must be at least 1")
     rng = random.Random(seed)
     leaves = integer_leaves(n)
-    pool = all_quartets(leaves)
+    # index tuples, so that only the quartets drawn are built
+    rows = _quartet_rows(n)
     full = leaves.full_mask()
     members = list(range(n))
     findings: list[SearchFinding] = []
     seen: set[frozenset] = set()
     for trial in range(1, budget + 1):
-        chosen = set(rng.sample(pool, min(target_size, len(pool))))
+        drawn = rng.sample(rows, min(target_size, len(rows)))
+        chosen = {Quartet(*row) for row in drawn}
         settled = None
         for _ in range(_REPAIR_STEPS):
             qs = QuartetSet(leaves, frozenset(chosen))
@@ -139,7 +149,7 @@ def run_search(
             # incompatible, or no useful edge: shake one quartet loose
             drop = rng.choice(sorted(chosen))
             chosen.discard(drop)
-            chosen.add(rng.choice(pool))
+            chosen.add(Quartet(*rng.choice(rows)))
         if settled is None:
             continue
         if report.minimal is False:
@@ -147,24 +157,27 @@ def run_search(
             # every subset, since a second displayer of S minus q also
             # displays each smaller set minus q. The first drop needs no
             # check: the report marked q redundant only after proving that
-            # S minus q still defines the tree.
+            # S minus q still defines the tree. Each later q gets the
+            # report's own removal check on the current set: T displays
+            # S minus q, so S minus q defines some tree only if it is T.
             tree = report.verdict.tree
             redundant = [q for q, w in report.entries if w.kind == "redundant"]
-            settled = settled.without_quartet(redundant[0])
+            kept = [q for q, _ in report.entries if q != redundant[0]]
             for q in redundant[1:]:
-                rest = settled.without_quartet(q)
-                if defines(rest, mode="fast", cap=cap).tree == tree:
-                    settled = rest
+                i = kept.index(q)
+                if _removal_witnesses(kept, tree, (i,), cap)[i].kind == "redundant":
+                    del kept[i]
+            settled = QuartetSet(leaves, frozenset(kept))
+        key = settled.quartets
+        if len(key) < target_size or key in seen:
+            continue
+        if report.minimal is False:
+            # re-validate the stripped set, now that it can still be reported
             report = minimality_report(settled, mode="fast", cap=cap)
-        if not (report.verdict.is_definitive and report.minimal):
-            continue
-        if report.size < target_size:
-            continue
-        key = frozenset(settled.quartets)
-        if key in seen:
-            continue
+            if not (report.verdict.is_definitive and report.minimal):
+                continue
         seen.add(key)
         findings.append(
-            SearchFinding(n, settled, report.size, "minimal_definitive", seed, trial)
+            SearchFinding(n, settled, len(key), "minimal_definitive", seed, trial)
         )
     return findings

@@ -171,6 +171,22 @@ class TestEnumerate:
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
 
+    def test_closed_pipe_is_quiet(self):
+        # the reader takes one line and goes, as `head -1` does; the rest
+        # of the listing is far more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quartets", "enumerate", "--n", "9", "--binary"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first == b"(1,((((((2,9),8),7),6),5),4),3);\n"
+        assert err == b""
+
 
 class TestInfer:
     def test_closure_golden_bytes(self):

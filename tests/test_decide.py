@@ -659,8 +659,9 @@ class TestWalkSize:
             (minimality_report, _data("q6.txt"), 5),
             (minimality_report, _data("q7.txt"), 9),
             # a search decides through both walks, with the seed in qs's
-            # place; without the lookahead it builds 28,639 trees
-            (partial(run_search, 8, 6, 50), 1, 15087),
+            # place; without the lookahead it builds 28,639 trees, and
+            # 15,087 when its strip re-checks each drop with defines
+            (partial(run_search, 8, 6, 50), 1, 13220),
         ],
         ids=[
             "defines-swap15-10", "defines-swap15-11", "defines-swap15-12",
@@ -726,6 +727,63 @@ class TestPendingWalk:
             witnessed += len(expected)
             unwitnessed += len(pending) - len(expected)
         assert witnessed and unwitnessed
+
+
+class TestRemovalWitnesses:
+    """The one removal check, asked about a few quartets, answers as the
+    full report does and as defines on the set minus each quartet does."""
+
+    @staticmethod
+    def _definitive_sets(count):
+        """Seeded sets that define a random binary tree on 6-9 leaves,
+        each stripped of some redundant quartets in a random order so that
+        every kind of witness turns up."""
+        rng = random.Random(17)
+        while count:
+            n = rng.randint(6, 9)
+            tree = _random_binary_tree(rng, n)
+            chosen = set()
+            for _ in range(rng.randint(n - 2, 2 * n)):
+                four = rng.sample(range(n), 4)
+                chosen.update(q for q in _resolutions(four) if displays(tree, q))
+            qs = QuartetSet(tree.leaves, frozenset(chosen))
+            if defines(qs).tree != tree:
+                continue
+            order = qs.sorted_quartets()
+            rng.shuffle(order)
+            for q in order[: len(order) // 2]:
+                if defines(qs.without_quartet(q)).tree == tree:
+                    qs = qs.without_quartet(q)
+            yield qs, tree
+            count -= 1
+
+    def test_redundant_exactly_when_the_rest_defines_the_tree(self):
+        kinds = set()
+        for qs, tree in self._definitive_sets(200):
+            quartets = qs.sorted_quartets()
+            for i, q in enumerate(quartets):
+                w = decide._removal_witnesses(quartets, tree, (i,), None)[i]
+                kinds.add(w.kind)
+                rest = defines(qs.without_quartet(q))
+                assert (w.kind == "redundant") == (rest.tree == tree)
+        assert kinds == {"undistinguished_edge", "alternative_tree", "redundant"}
+
+    @pytest.mark.parametrize(
+        "qs",
+        [_data("q6.txt"), _data("q7.txt")]
+        + [minimal_definitive_set(n) for n in range(5, 13)]
+        + [_swap15(minimal_definitive_set(n)) for n in (10, 11, 12)],
+        ids=["q6", "q7"] + [f"set-{n}" for n in range(5, 13)]
+        + [f"swap15-{n}" for n in (10, 11, 12)],
+    )
+    def test_a_subset_matches_the_report(self, qs):
+        report = minimality_report(qs)
+        tree = report.verdict.tree
+        quartets = [q for q, _ in report.entries]
+        everything = range(len(quartets))
+        for subset in [(i,) for i in everything] + [everything[::2], everything[1::2]]:
+            expected = {i: report.entries[i][1] for i in subset}
+            assert decide._removal_witnesses(quartets, tree, subset, None) == expected
 
 
 def _minus_first(qs):

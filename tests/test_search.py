@@ -10,6 +10,7 @@ from quartets import (
     minimality_report,
     run_search,
 )
+from quartets import decide, search
 
 
 class TestRunSearch:
@@ -50,6 +51,25 @@ class TestRunSearch:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f5f6b9828cae78f825aeb6202a997a0fe9017b1ea4200353f0593bcc36db03be"
         )
+
+    def test_each_set_is_decided_once(self, monkeypatch):
+        # the strip asks the removal check, not defines, and a stripped set
+        # too small or already found is not re-validated; re-deciding
+        # either way costs 283 reports and 394 certificates
+        calls = {"report": 0, "certificate": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(search, "minimality_report", counted("report", minimality_report))
+        monkeypatch.setattr(
+            decide, "_closure_certificate", counted("certificate", decide._closure_certificate)
+        )
+        run_search(8, target_size=6, budget=50, seed=1)
+        assert calls == {"report": 259, "certificate": 259}
 
     def test_deterministic_for_a_seed(self):
         a = run_search(6, target_size=4, budget=300, seed=11)
