@@ -17,12 +17,12 @@ once its last leaf is in.
   What survives to the last leaf is counted. It is the ground truth and
   is deliberately kept free of the shortcuts below.
 * fast mode first tries the closure certificate below. When that does
-  not settle Q, it scans binary trees for displayers, stopping at two,
-  then certifies uniqueness among non-binary trees by checking that
-  every edge of the sole binary displayer T is the unique separating
-  edge of some quartet. Contracting an edge that no quartet pins down
-  always yields a second displayer, and every non-binary displayer
-  arises by contracting edges of T, so the check is exact.
+  not settle Q, it scans binary trees for displayers, stopping at two.
+  Only binary trees need scanning: a non-binary displayer has at least
+  three binary refinements, and each displays everything it displays
+  (Semple and Steel, Phylogenetics, 2003, ch. 6). So when exactly one
+  binary tree displays Q, no other tree does, and when none does,
+  nothing does.
 
 The closure certificate answers without a scan and is never wrong; it
 only sometimes declines. Q is closed under the one inference rule,
@@ -78,7 +78,6 @@ from .model import (
     _displays_masks,
     _unchecked_tree,
     _unique_separator,
-    contract,
 )
 
 DecideMode = Literal["fast", "oracle"]
@@ -92,9 +91,11 @@ INCOMPATIBLE = "incompatible"
 class DefinitivenessVerdict:
     """Outcome of a definitiveness check.
 
-    displayer_count is exact in oracle mode and None in fast mode, which
-    stops counting at two. examples holds up to two displayers; when the
-    status is "defines" it is the single tree.
+    displayer_count is exact in oracle mode. In fast mode, which stops
+    at two displayers, it is 0 when the status is "incompatible" and None
+    otherwise. examples is () when the status is "incompatible", (tree,)
+    when it is "defines", and two distinct displayers, the first two the
+    route found, when it is "not_definitive"; in fast mode both are binary.
     """
 
     status: str
@@ -414,15 +415,16 @@ def _build(leaves: int, triples: list[tuple[int, int]]) -> list[int] | None:
     return clusters
 
 
-def _closure_certificate(qs: QuartetSet) -> tuple[int, ...] | str | None:
-    """Settle qs without a scan: the defined tree's masks, INCOMPATIBLE, or None.
+def _closure_certificate(qs: QuartetSet) -> list[tuple[int, ...]] | None:
+    """Settle qs without a scan: its displayers' masks as defines reads them.
 
     For each leaf x, the closed quartets holding x are read as rooted
     triples with root x (xa|bc becomes bc|a) and handed to BUILD. If
-    BUILD fails, no tree displays them, so none displays qs. If it
-    grows a binary tree T that displays qs, and x's own quartets pin
-    every edge of T, then those triples define T rooted at x and qs
-    defines T. None means no leaf settled it.
+    BUILD fails, no tree displays them, so none displays qs: the answer
+    is []. If it grows a binary tree T that displays qs, and x's own
+    quartets pin every edge of T, then those triples define T rooted at
+    x and qs defines T: the answer is [T's masks]. None means no leaf
+    settled it.
     """
     n = qs.leaves.n
     full = (1 << n) - 1
@@ -434,12 +436,12 @@ def _closure_certificate(qs: QuartetSet) -> tuple[int, ...] | str | None:
         triples = [(p2, p1 ^ bit) if p1 & bit else (p1, p2 ^ bit) for p1, p2 in held]
         clusters = _build(full ^ bit, triples)
         if clusters is None:
-            return INCOMPATIBLE
+            return []
         if len(clusters) != n - 3:
             continue
         masks = tuple(_canonical(c, full) for c in clusters)
         if _displays_masks(masks, pairs) and not _undistinguished_masks(masks, held):
-            return masks
+            return [masks]
     return None
 
 
@@ -506,10 +508,14 @@ def defines(
     mention; a larger one must be requested explicitly. Oracle mode grows
     every tree (no degree-2 vertices), drops each one as soon as a quartet
     whose last leaf it has inserted is not displayed, and counts the
-    survivors; fast mode tries the closure certificate, then falls back on
-    the binary scan plus the distinguished-edge check. cap bounds the
-    scans only: a set the certificate settles is answered at any size.
-    Both modes report through the same verdict type.
+    survivors. Fast mode tries the closure certificate, then falls back on
+    the binary scan, stopping at two displayers. Scanning only binary
+    trees is exact: a non-binary displayer has at least three binary
+    refinements, each displaying every quartet it displays, so a set with
+    one binary displayer has no other displayer, and a set with none has
+    none. cap bounds the scans only: a set the certificate settles is
+    answered at any size. Every route hands up to two displayers to one
+    tail, which turns them into the verdict.
     """
     if mode not in ("fast", "oracle"):
         raise QuartetError(f"mode must be 'fast' or 'oracle', got {mode!r}")
@@ -517,42 +523,26 @@ def defines(
     n = ambient.n
     if mode == "oracle":
         stream = _oracle_displayers(moved, cap)
-        kept = list(islice(stream, 2))
-        count = len(kept) + sum(1 for _ in stream)
-        examples = tuple(PhyloTree(ambient, m) for m in kept)
-        if count == 0:
-            return DefinitivenessVerdict(INCOMPATIBLE, None, 0, (), mode)
-        if count == 1:
-            return DefinitivenessVerdict(DEFINES, examples[0], 1, examples, mode)
-        return DefinitivenessVerdict(NOT_DEFINITIVE, None, count, examples, mode)
-    settled = _closure_certificate(moved)
-    if settled == INCOMPATIBLE:
+        found = list(islice(stream, 2))
+        count = len(found) + sum(1 for _ in stream)
+    else:
+        count = None
+        found = _closure_certificate(moved)
+        if found is None:
+            _check_scan(
+                n,
+                cap,
+                f"the closure certificate did not settle {len(moved)} quartets on "
+                f"{n} leaves, and the binary scan it falls back on refuses them",
+            )
+            walk = _binary_walk(moved.sorted_quartets(), n)
+            found = [masks for _, masks in islice(walk, 2)]
+    examples = tuple(PhyloTree(ambient, m) for m in found)
+    if not examples:
         return DefinitivenessVerdict(INCOMPATIBLE, None, 0, (), mode)
-    if settled is not None:
-        tree = PhyloTree(ambient, settled)
-        return DefinitivenessVerdict(DEFINES, tree, None, (tree,), mode)
-    _check_scan(
-        n,
-        cap,
-        f"the closure certificate did not settle {len(moved)} quartets on {n} "
-        "leaves, and the binary scan it falls back on refuses them",
-    )
-    found = [masks for _, masks in islice(_binary_walk(moved.sorted_quartets(), n), 2)]
-    if not found:
-        # no binary displayer means no displayer at all: refining any
-        # displayer to a binary tree preserves every displayed quartet
-        return DefinitivenessVerdict(INCOMPATIBLE, None, 0, (), mode)
-    if len(found) == 2:
-        examples = tuple(PhyloTree(ambient, m) for m in found)
-        return DefinitivenessVerdict(NOT_DEFINITIVE, None, None, examples, mode)
-    tree = PhyloTree(ambient, found[0])
-    undistinguished = _undistinguished_masks(tree.masks, _pairs(moved))
-    if undistinguished:
-        loose = Split(min(undistinguished), n)
-        return DefinitivenessVerdict(
-            NOT_DEFINITIVE, None, None, (tree, contract(tree, loose)), mode
-        )
-    return DefinitivenessVerdict(DEFINES, tree, None, (tree,), mode)
+    if len(examples) == 1:
+        return DefinitivenessVerdict(DEFINES, examples[0], count, examples, mode)
+    return DefinitivenessVerdict(NOT_DEFINITIVE, None, count, examples, mode)
 
 
 def undistinguished_edges(qs: QuartetSet, tree: PhyloTree) -> tuple[Split, ...]:

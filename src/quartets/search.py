@@ -137,16 +137,16 @@ def run_search(
             if verdict.is_definitive:
                 settled = qs
                 break
-            if verdict.status == NOT_DEFINITIVE and len(verdict.examples) == 2:
+            if verdict.status == NOT_DEFINITIVE:
+                # two distinct binary trees, so the first has a split the
+                # second lacks
                 first, second = verdict.examples
-                gap = sorted(set(first.masks) - set(second.masks))
-                if gap:
-                    edge = rng.choice(gap)
-                    q = _pick_separator(rng, n, edge, second)
-                    if q not in chosen:
-                        chosen.add(q)
-                        continue
-            # incompatible, or no useful edge: shake one quartet loose
+                edge = rng.choice(sorted(set(first.masks) - set(second.masks)))
+                q = _pick_separator(rng, n, edge, second)
+                if q not in chosen:
+                    chosen.add(q)
+                    continue
+            # incompatible, or the separator is already in: shake one quartet loose
             drop = rng.choice(sorted(chosen))
             chosen.discard(drop)
             chosen.add(Quartet(*rng.choice(rows)))

@@ -321,18 +321,40 @@ class TestUndistinguishedEdges:
         assert set(undistinguished_edges(qs, t6)) == t6.splits
 
 
+def _random_sets(n):
+    """The seeded random sets on n leaves that mention at least four leaves."""
+    ls = integer_leaves(n)
+    for rows in oracles.random_index_sets(n, 120, seed=100 + n):
+        qs = quartet_set_from_indices(ls, rows)
+        if len(qs.support_labels()) >= 4:
+            yield qs
+
+
+def _assert_verdict_shape(v, qs):
+    """examples is (), (tree,) or two distinct displayers, as the status says."""
+    if v.status == INCOMPATIBLE:
+        assert v.examples == () and v.displayer_count == 0
+    elif v.status == DEFINES:
+        assert v.examples == (v.tree,)
+    else:
+        first, second = v.examples
+        assert first != second
+        for t in v.examples:
+            assert all(displays(t, q) for q in qs.translate(t.leaves))
+            if v.mode == "fast":
+                assert t.is_binary()
+
+
 class TestOracleFastAgreement:
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_random_sets_agree(self, n):
-        ls = integer_leaves(n)
         definitive_seen = 0
-        for rows in oracles.random_index_sets(n, 120, seed=100 + n):
-            qs = quartet_set_from_indices(ls, rows)
-            if len(qs.support_labels()) < 4:
-                continue
+        for qs in _random_sets(n):
             fast = defines(qs, mode="fast")
             oracle = defines(qs, mode="oracle")
             assert fast.status == oracle.status
+            _assert_verdict_shape(fast, qs)
+            _assert_verdict_shape(oracle, qs)
             if fast.is_definitive:
                 assert fast.tree == oracle.tree
                 # the defined tree is binary with every edge pinned
@@ -343,6 +365,34 @@ class TestOracleFastAgreement:
                 if common_leaf_certificate(qs, fast.tree):
                     assert oracle.tree == fast.tree
         assert definitive_seen > 0
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_scan_route_agrees(self, n, monkeypatch):
+        # with the certificate declining, every set goes through the binary
+        # scan, and a sole binary displayer must have every edge pinned:
+        # a loose edge would contract to a second, non-binary displayer
+        walk = decide._binary_walk
+        sole = []
+
+        def recording(quartets, *rest):
+            trees = list(walk(quartets, *rest))
+            if len(trees) == 1:
+                sole.append((quartets, trees[0][1]))
+            return iter(trees)
+
+        monkeypatch.setattr(decide, "_closure_certificate", lambda qs: None)
+        monkeypatch.setattr(decide, "_binary_walk", recording)
+        definitive = 0
+        for qs in _random_sets(n):
+            fast = defines(qs, mode="fast")
+            oracle = defines(qs, mode="oracle")
+            assert (fast.status, fast.tree) == (oracle.status, oracle.tree)
+            _assert_verdict_shape(fast, qs)
+            definitive += fast.is_definitive
+        for quartets, masks in sole:
+            pairs = [q.pair_masks() for q in quartets]
+            assert decide._undistinguished_masks(masks, pairs) == []
+        assert len(sole) == definitive > 0
 
 
 def _sides(tree):
@@ -526,12 +576,12 @@ class TestClosureCertificate:
             oracle = defines(qs, qs.leaves, mode="oracle", allow_larger_ambient=True)
             statuses.add(oracle.status)
             settled = decide._closure_certificate(qs)
-            if settled == INCOMPATIBLE:
+            if settled == []:
                 assert oracle.status == INCOMPATIBLE
                 certified.add(INCOMPATIBLE)
             elif settled is not None:
                 assert oracle.is_definitive
-                assert PhyloTree(qs.leaves, settled) == oracle.tree
+                assert PhyloTree(qs.leaves, settled[0]) == oracle.tree
                 certified.add(DEFINES)
         assert statuses == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
         assert certified == {DEFINES, INCOMPATIBLE}
@@ -581,7 +631,7 @@ class TestClosureCertificate:
                 if settled is None:
                     continue
                 settled_count += 1
-                tree = PhyloTree(qs.leaves, settled)
+                tree = PhyloTree(qs.leaves, settled[0])
                 assert tree == relabel(target, sigma)
                 assert (tree == target) == ((i, j) in ((0, 1), (n - 2, n - 1)))
         assert settled_count >= n
