@@ -10,6 +10,7 @@ Example:
 """
 
 import argparse
+import os
 import sys
 
 from quartets import QuartetError, run_search
@@ -22,7 +23,14 @@ def main(argv=None):
     parser.add_argument("--seeds", type=int, default=3, help="seeds 1..k per n")
     args = parser.parse_args(argv)
     try:
-        return explore(args)
+        code = explore(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered nowhere, so that
+        # exit does not flush it again and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except QuartetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

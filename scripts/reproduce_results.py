@@ -7,6 +7,7 @@ Exits nonzero if anything disagrees.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -46,7 +47,14 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     try:
-        return reproduce(args)
+        code = reproduce(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered nowhere, so that
+        # exit does not flush it again and print a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except QuartetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

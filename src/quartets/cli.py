@@ -221,14 +221,13 @@ def _cmd_search(args) -> int:
     return 0 if findings else 1
 
 
-def _add_cap(parser: argparse.ArgumentParser) -> None:
+def _add_cap(parser: argparse.ArgumentParser, bounds: str) -> None:
     parser.add_argument(
         "--cap",
         type=int,
         default=None,
         metavar="N",
-        help="override the leaf-count ceiling for exhaustive scans; "
-        "sets the closure certificate settles need no scan",
+        help=f"override the leaf-count ceiling of {bounds}",
     )
 
 
@@ -260,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quartets", required=True, metavar="FILE")
     p.add_argument("--mode", choices=("fast", "oracle"), default="fast")
     p.add_argument("--json", action="store_true")
-    _add_cap(p)
+    _add_cap(p, "the scans that decide the set and its removals")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("display", help="does a tree display one quartet")
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--binary", action="store_true", help="binary trees only")
     p.add_argument("--count-only", action="store_true")
-    _add_cap(p)
+    _add_cap(p, f"the listing (default {_CLI_BINARY_CAP} binary, {ALL_CAP} all)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser(
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="answer the query against every tree instead of the rule closure",
     )
-    _add_cap(p)
+    _add_cap(p, "the scan of every tree that --semantic runs")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser(
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--oracle-max-n", type=int, default=7)
     p.add_argument("--json", action="store_true")
-    _add_cap(p)
+    _add_cap(p, "the oracle rows and any scan fast defines falls back on")
     p.set_defaults(func=_cmd_verify_theorem)
 
     p = sub.add_parser(
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000, metavar="TRIALS")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    _add_cap(p)
+    _add_cap(p, "the scans that decide each trial's set and its removals")
     p.set_defaults(func=_cmd_search)
 
     return parser

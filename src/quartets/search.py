@@ -7,8 +7,9 @@ Each trial draws a random set of the requested size and repairs it
 toward definitiveness: cover leaves nobody mentions, and when two
 displayers survive, add a quartet that one displays and the other does
 not. A trial that lands on a definitive set is then stripped of
-redundant quartets (in canonical order, so runs are reproducible) and
-re-validated before being reported.
+redundant quartets (in canonical order, so runs are reproducible). The
+strip's own removal checks prove the stripped set minimal and
+definitive, so it is reported without being decided again.
 """
 
 from __future__ import annotations
@@ -100,10 +101,9 @@ def run_search(
     step decides its set through minimality_report, so the set a trial
     lands on is decided once, and the strip reads the report that decided
     it. The strip asks the same removal check, decide._removal_witnesses,
-    about one quartet at a time. A stripped set is re-validated by a
-    fresh minimality_report only if it can still be reported, that is if
-    it is large enough and not already found, so every finding returned
-    has survived one. Findings are deduplicated.
+    about one later quartet at a time. Those checks are the proof that
+    the stripped set is minimal and definitive, so it is not decided
+    again. Findings are deduplicated.
     """
     if n < 4:
         raise TooFewLeavesError("search needs at least four leaves")
@@ -153,13 +153,16 @@ def run_search(
         if settled is None:
             continue
         if report.minimal is False:
-            # one pass suffices: a quartet needed in a set stays needed in
-            # every subset, since a second displayer of S minus q also
-            # displays each smaller set minus q. The first drop needs no
-            # check: the report marked q redundant only after proving that
-            # S minus q still defines the tree. Each later q gets the
-            # report's own removal check on the current set: T displays
-            # S minus q, so S minus q defines some tree only if it is T.
+            # the stripped set K is minimal and definitive, by three steps:
+            # 1. every drop is checked, so K still defines T. The report
+            #    checked the first: it marked q redundant only after proving
+            #    that S minus q defines T. Each later q gets the same removal
+            #    check on the current set: T displays it minus q, so it
+            #    minus q defines some tree only if that tree is T.
+            # 2. each kept q was found needed in S, or in a larger kept set
+            #    when its check came. A second displayer of that set minus q
+            #    also displays K minus q, so q is still needed in K.
+            # 3. K defines a tree on all n leaves, so it mentions every leaf.
             tree = report.verdict.tree
             redundant = [q for q, w in report.entries if w.kind == "redundant"]
             kept = [q for q, _ in report.entries if q != redundant[0]]
@@ -171,11 +174,6 @@ def run_search(
         key = settled.quartets
         if len(key) < target_size or key in seen:
             continue
-        if report.minimal is False:
-            # re-validate the stripped set, now that it can still be reported
-            report = minimality_report(settled, mode="fast", cap=cap)
-            if not (report.verdict.is_definitive and report.minimal):
-                continue
         seen.add(key)
         findings.append(
             SearchFinding(n, settled, len(key), "minimal_definitive", seed, trial)

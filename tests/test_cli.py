@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import DATA
 from quartets import displays, make_quartet, parse_newick, parse_quartet_file
 
@@ -312,3 +314,15 @@ class TestUsage:
         out = run("--version")
         assert out.returncode == 0
         assert out.stdout.startswith("quartets ")
+
+    @pytest.mark.parametrize(
+        "command, bounds", [("enumerate", "the listing"), ("infer", "--semantic runs")]
+    )
+    def test_cap_help_says_what_it_bounds(self, command, bounds):
+        # neither command reaches the closure certificate, so its cap help
+        # does not mention it
+        out = run(command, "--help")
+        assert out.returncode == 0
+        text = " ".join(out.stdout.split())
+        assert bounds in text
+        assert "certificate" not in text

@@ -61,6 +61,10 @@ class TestCaterpillar:
         with pytest.raises(TooFewLeavesError):
             caterpillar(3)
 
+    def test_custom_order_too_few(self):
+        with pytest.raises(TooFewLeavesError, match="a caterpillar needs at least three leaves"):
+            caterpillar_from_order(["a", "b"])
+
     def test_custom_order(self):
         t = caterpillar_from_order([2, 4, 6, 1, 5, 3])
         assert "1,3,5,6|2,4" in {s.text(t.leaves) for s in t.splits}

@@ -10,6 +10,7 @@ import oracles
 from conftest import DATA, qset, quartet_set_from_indices
 from quartets import (
     AmbientMismatchError,
+    TooFewLeavesError,
     TooManyLeavesError,
     DEFINES,
     INCOMPATIBLE,
@@ -129,6 +130,21 @@ class TestDefines:
             defines(moved, leaves=ls7)
         relaxed = defines(moved, leaves=ls7, allow_larger_ambient=True)
         assert relaxed.status == NOT_DEFINITIVE  # leaf 7 is unconstrained
+
+    def test_ambient_smaller_than_a_quartet_rejected(self):
+        qs = qset(integer_leaves(4), (1, 2, 3, 4))
+        with pytest.raises(TooFewLeavesError, match="ambient leaf set smaller than a quartet"):
+            defines(qs, leaves=integer_leaves(3), allow_larger_ambient=True)
+
+    def test_fewer_than_four_occupied_leaves_rejected(self):
+        with pytest.raises(
+            TooFewLeavesError, match="definitiveness needs at least four occupied leaves"
+        ):
+            defines(QuartetSet(integer_leaves(5), frozenset()))
+
+    def test_unknown_mode_rejected(self, q6):
+        with pytest.raises(QuartetError, match="mode must be 'fast' or 'oracle', got 'slow'"):
+            defines(q6, mode="slow")
 
     def test_default_ambient_is_the_support(self, q6):
         moved = q6.translate(integer_leaves(9))
@@ -289,6 +305,14 @@ class TestCommonLeafCertificate:
     def test_the_size_four_set_fails_common_leaf(self, q6, t6):
         # no single leaf occurs in all four quartets
         assert not common_leaf_certificate(q6, t6)
+
+    def test_quartets_must_use_every_tree_leaf(self, leaves6, t6):
+        qs = qset(leaves6, (1, 2, 3, 4))
+        with pytest.raises(
+            AmbientMismatchError,
+            match="certificate applies when the quartets use exactly the tree's leaves",
+        ):
+            common_leaf_certificate(qs, t6)
 
     def test_single_quartet_passes(self):
         ls = integer_leaves(4)
@@ -709,9 +733,10 @@ class TestWalkSize:
             (minimality_report, _data("q6.txt"), 5),
             (minimality_report, _data("q7.txt"), 9),
             # a search decides through both walks, with the seed in qs's
-            # place; without the lookahead it builds 28,639 trees, and
-            # 15,087 when its strip re-checks each drop with defines
-            (partial(run_search, 8, 6, 50), 1, 13220),
+            # place; without the lookahead it builds 28,639 trees, 15,087
+            # when its strip re-checks each drop with defines, and 13,220
+            # when it re-validates each stripped set it can still report
+            (partial(run_search, 8, 6, 50), 1, 11085),
         ],
         ids=[
             "defines-swap15-10", "defines-swap15-11", "defines-swap15-12",

@@ -15,7 +15,9 @@ from quartets import (
     NoSuchSplitError,
     NonBijectiveError,
     PhyloTree,
+    Quartet,
     QuartetError,
+    QuartetSet,
     Split,
     TooManyLeavesError,
     TrivialSplitError,
@@ -119,6 +121,20 @@ class TestSplit:
         with pytest.raises(QuartetError):
             Split(0b0011, 6)
 
+    @pytest.mark.parametrize("mask", [0, 1 << 6])
+    def test_mask_out_of_range_rejected(self, mask):
+        with pytest.raises(QuartetError, match="split mask out of range for its leaf set"):
+            Split(mask, 6)
+
+    def test_whole_leaf_set_is_not_a_side(self):
+        with pytest.raises(QuartetError, match="split side must not be the whole leaf set"):
+            Split.from_side(integer_leaves(5), ["1", "2", "3", "4", "5"])
+
+    def test_sides_need_the_split_leaf_set(self):
+        split = Split.from_side(integer_leaves(6), ["5", "6"])
+        with pytest.raises(UnknownLeafError, match="split does not belong to this leaf set"):
+            split.sides(integer_leaves(5))
+
     def test_text_puts_low_side_first(self):
         ls = integer_leaves(6)
         s = Split.from_side(ls, ["5", "6"])
@@ -139,6 +155,12 @@ class TestSplit:
         assert compatible(nested, outer)
         assert compatible(nested, disjoint)
         assert not compatible(nested, crossing)
+
+    def test_compatibility_across_leaf_sets_rejected(self):
+        a = Split.from_side(integer_leaves(5), ["4", "5"])
+        b = Split.from_side(integer_leaves(6), ["5", "6"])
+        with pytest.raises(QuartetError, match="splits over different leaf sets"):
+            compatible(a, b)
 
     def test_duplicate_side_label(self):
         ls = integer_leaves(5)
@@ -166,6 +188,14 @@ class TestQuartet:
     def test_unknown_label_rejected(self, leaves6):
         with pytest.raises(UnknownLeafError):
             make_quartet(leaves6, 1, 2, 3, 9)
+
+    def test_not_normal_form_rejected(self):
+        with pytest.raises(QuartetError, match="quartet not in normal form"):
+            Quartet(2, 3, 0, 1)
+
+    def test_set_index_out_of_range_rejected(self):
+        with pytest.raises(UnknownLeafError, match="quartet index 5 out of range for 5 leaves"):
+            QuartetSet(integer_leaves(5), frozenset({normalized_quartet(0, 1, 2, 5)}))
 
     @given(st.permutations(range(8)))
     def test_normal_form_invariants(self, perm):
@@ -306,6 +336,10 @@ class TestRelabel:
         with pytest.raises(QuartetError, match="cannot reverse int"):
             reverse(42)
 
+    def test_relabel_rejects_a_non_tree(self):
+        with pytest.raises(QuartetError, match="cannot relabel int"):
+            relabel(42, {})
+
     def test_non_bijective_rejected(self, t6):
         squash = {str(j): "1" for j in range(1, 7)}
         with pytest.raises(NonBijectiveError):
@@ -376,6 +410,10 @@ class TestCherryReplace:
     def test_unknown_leaf(self, t6):
         with pytest.raises(UnknownLeafError):
             cherry_replace(t6, "9", "10")
+
+    def test_remove_unknown_leaf(self, t6):
+        with pytest.raises(UnknownLeafError, match="no leaf '9' in tree"):
+            remove_leaf(t6, "9")
 
     def test_label_collision(self, t6):
         with pytest.raises(LabelCollisionError):

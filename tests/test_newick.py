@@ -152,6 +152,11 @@ class TestParse:
         assert tree.leaves.labels == ("a", "b", "c")
         assert tree.masks == ()
 
+    def test_empty_leaf_label(self):
+        with pytest.raises(ParseError, match="expected a leaf label") as info:
+            parse_newick("(,a,b);")
+        assert info.value.position == 1
+
     def test_missing_semicolon(self):
         with pytest.raises(ParseError):
             parse_newick("(1,2,(3,4))")

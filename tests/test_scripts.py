@@ -64,3 +64,29 @@ def test_reproduce_results_refuses_a_construction_out_of_range(max_n, message):
 def test_explore_search_refuses_three_leaves():
     out = run("explore_search.py", "--n", "3", "--budget", "5", "--seeds", "1")
     _refused(out, "at least four leaves")
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("reproduce_results.py", ["--max-n", "8", "--binary-count-n", "8"]),
+        ("explore_search.py", ["--n", "6", "7", "--budget", "200", "--seeds", "2"]),
+    ],
+    ids=["reproduce_results", "explore_search"],
+)
+def test_closed_pipe_is_quiet(name, args):
+    # the reader takes one line and goes, as `head -1` does; -u writes each
+    # line as it is printed, so the lines after the first meet a closed pipe
+    # instead of all leaving in one write at exit
+    proc = subprocess.Popen(
+        [sys.executable, "-u", str(SCRIPTS / name), *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first.startswith(b"==" if name == "reproduce_results.py" else b"n=6:")
+    assert err == b""
