@@ -19,6 +19,11 @@ split m, sitting on the far side of exactly the splits containing m.
 Insertion positions are scanned in a fixed order (edge masks ascending,
 then the root-end vertex, then per-split vertices by ascending mask), so
 the stream order is deterministic and restarting reproduces it.
+
+A k-leaf tree with s splits has k + s edges and, in "all" mode, s + 1
+interior vertices, one child per position. count_trees therefore reads
+the stream only to n-1 leaves and sums those positions: that is the
+size of the stream on n leaves, with its last level never built.
 """
 
 from __future__ import annotations
@@ -127,6 +132,16 @@ def _children(splits: tuple[int, ...], k: int, all_mode: bool) -> list[tuple[int
     return children
 
 
+def _positions(splits: tuple[int, ...], k: int, all_mode: bool) -> int:
+    """How many trees _children(splits, k, all_mode) returns, building none.
+
+    One per edge: k pendant edges and one per split. "all" mode adds one
+    per interior vertex: the root end and one per split.
+    """
+    edges = k + len(splits)
+    return edges + 1 + len(splits) if all_mode else edges
+
+
 def _stream_masks(
     n: int, mode: Mode, levels: dict[int, list[tuple[int, int]]] | None = None
 ) -> Iterator[tuple[int, ...]]:
@@ -198,11 +213,17 @@ def enumerate_trees(
 
 
 def count_trees(n: int, mode: Mode = "binary", *, cap: int | None = None) -> int:
-    """Count the stream by consuming it.
+    """Count the trees the stream yields on n leaves.
 
-    The count is measured rather than computed from a formula so it can
-    serve as one side of closed-form cross-checks.
+    The stream's last level is one child per insertion position of leaf
+    n-1 in each tree on n-1 leaves, so the count reads the stream to n-1
+    leaves and adds each tree's _positions, without building the last
+    level. It still walks the stream rather than evaluating a formula,
+    so it can serve as one side of closed-form cross-checks.
     """
     _check_mode(mode)
     _check_size(n, mode, cap)
-    return sum(1 for _ in _stream_masks(n, mode))
+    if n == 3:
+        return 1
+    all_mode = mode == "all"
+    return sum(_positions(s, n - 1, all_mode) for s in _stream_masks(n - 1, mode))

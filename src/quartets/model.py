@@ -144,6 +144,8 @@ class Split:
             if mask & bit:
                 raise DuplicateLeafError(f"leaf {x!r} repeated in split side")
             mask |= bit
+        if mask == 0:
+            raise QuartetError("split side must not be empty")
         mask = _canonical(mask, leaves.full_mask())
         if mask == 0:
             raise QuartetError("split side must not be the whole leaf set")

@@ -147,18 +147,19 @@ def test_criterion_05_definitive_sets_behave(announce):
 
 def test_criterion_06_enumeration_counts(announce):
     with announce("6 enumeration counts", limit=60.0):
-        pinned_binary = [3, 15, 105, 945, 10395, 135135, 2027025]
-        for n, expected in zip(range(4, 11), pinned_binary):
+        pinned_binary = [3, 15, 105, 945, 10395, 135135, 2027025, 34459425]
+        for n, expected in zip(range(4, 12), pinned_binary):
             assert oracles.binary_tree_count(n) == expected
             assert count_trees(n, "binary", cap=12) == expected
-        assert [oracles.all_tree_count(n) for n in range(4, 9)] == [
+        assert [oracles.all_tree_count(n) for n in range(4, 10)] == [
             4,
             26,
             236,
             2752,
             39208,
+            660032,
         ]
-        for n in range(4, 9):
+        for n in range(4, 10):
             assert count_trees(n, "all") == oracles.all_tree_count(n)
 
 

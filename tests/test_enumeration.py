@@ -20,8 +20,9 @@ from quartets import (
     parse_quartet_file,
     tree_from_splits,
 )
+from quartets import enumeration
 from quartets.decide import _binary_walk, _oracle_displayers
-from quartets.enumeration import _children, _edges, _insert, _stream_masks
+from quartets.enumeration import _children, _edges, _insert, _positions, _stream_masks
 from quartets.model import _displays_masks
 
 
@@ -30,7 +31,7 @@ def test_binary_counts_match_double_factorial(n):
     assert count_trees(n, "binary") == oracles.binary_tree_count(n)
 
 
-@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("n", range(4, 10))
 def test_all_mode_counts_match_recurrence(n):
     assert count_trees(n, "all") == oracles.all_tree_count(n)
 
@@ -43,6 +44,44 @@ def test_pinned_small_counts():
     assert count_trees(6, "all") == 236
     assert count_trees(7, "all") == 2752
     assert count_trees(8, "all") == 39208
+
+
+@pytest.mark.parametrize("mode", ["binary", "all"])
+@pytest.mark.parametrize("m", range(3, 9))
+def test_positions_count_the_children(m, mode):
+    # count_trees rests on this: the stream's next level is one child per
+    # position of every tree it yields
+    all_mode = mode == "all"
+    for splits in _stream_masks(m, mode):
+        assert len(_children(splits, m, all_mode)) == _positions(splits, m, all_mode)
+
+
+class TestCountWork:
+    """How many trees a count builds, pinned so that building the last
+    level again fails here instead of only running slower."""
+
+    @pytest.mark.parametrize(
+        "n, mode, built",
+        [
+            # the trees on 4..9 leaves; building the last level too
+            # would make it 2,173,623
+            (10, "binary", 146598),
+            (8, "all", 4 + 26 + 236 + 2752),
+            (4, "binary", 0),
+        ],
+    )
+    def test_children_built(self, n, mode, built, monkeypatch):
+        sizes = []
+        real = enumeration._children
+
+        def counting(*args):
+            children = real(*args)
+            sizes.append(len(children))
+            return children
+
+        monkeypatch.setattr(enumeration, "_children", counting)
+        count_trees(n, mode)
+        assert sum(sizes) == built
 
 
 @pytest.mark.parametrize("mode", ["binary", "all"])

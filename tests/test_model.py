@@ -127,8 +127,17 @@ class TestSplit:
             Split(mask, 6)
 
     def test_whole_leaf_set_is_not_a_side(self):
-        with pytest.raises(QuartetError, match="split side must not be the whole leaf set"):
+        with pytest.raises(QuartetError, match="split side must not be the whole leaf set") as caught:
             Split.from_side(integer_leaves(5), ["1", "2", "3", "4", "5"])
+        assert type(caught.value) is QuartetError
+
+    def test_empty_side_is_not_a_side(self):
+        # it canonicalises to mask 0 as the whole leaf set does, but gets
+        # its own message
+        with pytest.raises(QuartetError) as caught:
+            Split.from_side(integer_leaves(5), [])
+        assert type(caught.value) is QuartetError
+        assert str(caught.value) == "split side must not be empty"
 
     def test_sides_need_the_split_leaf_set(self):
         split = Split.from_side(integer_leaves(6), ["5", "6"])
