@@ -52,6 +52,14 @@ later leaf w has no edge admitting every quartet xy|zw whose x, y and z
 are placed, since every tree grown from it hangs w on one of its edges.
 Its docstring gives both arguments. The oracle, displayers and
 semantic_infers read the filtered enumeration stream instead.
+
+The walk reads the small trees from one table that every walk in the
+process shares: for each binary tree on at most seven leaves, its edges
+and, for each S* a walk has asked about, the edges admitting it as a
+bitmask. That region is a function of the tree and the S* mask alone,
+so no answer can depend on which walks filled the table, or in what
+order. It stops at seven leaves to bound its memory: the 1,069 trees on
+3..7 leaves take about 1 MB, and eight leaves would add 10,395 more.
 """
 
 from __future__ import annotations
@@ -141,12 +149,10 @@ def _insertion_test(q: Quartet) -> tuple[int, tuple[int, int]]:
     return q.d, (1 << q.c, (1 << q.a) | (1 << q.b))
 
 
-def _admissible(
-    edges: list[int], splits: tuple[int, ...], k: int, z: int, xy: int
-) -> list[int]:
-    """The edges where inserting leaf k gives a child displaying xy|zk.
+def _outside(splits: tuple[int, ...], k: int, z: int, xy: int) -> int:
+    """The leaves of the tree on 0..k-1 outside S* for the test (z, xy).
 
-    z is 1<<z and xy the mask of x and y. The one S* edge test; the
+    z is 1<<z and xy the mask of x and y. The one S* computation; the
     argument is in _binary_walk.
     """
     # S* is the largest side holding z but neither x nor y, or z alone when
@@ -159,21 +165,38 @@ def _admissible(
             if not m & xy:
                 star = m  # ascending, so the last one is the largest
         elif m & xy == xy:
-            out = m  # S* is the other side of the first, smallest such m
-            break
-    else:
-        out = ((1 << k) - 1) ^ star
-    # an edge is admissible iff one of its sides lies inside S*
-    return [u for u in edges if not u & out or u & out == out]
+            return m  # S* is the other side of the first, smallest such m
+    return ((1 << k) - 1) ^ star
 
 
-def _has_room(edges: list[int], splits: tuple[int, ...], k: int, tests) -> bool:
-    """Whether one of the edges admits every test (z, xy) of one later leaf."""
+def _admissible(edges: list[int], splits: tuple[int, ...], k: int, tests) -> list[int]:
+    """The edges where inserting leaf k gives a child displaying xy|zk for
+    every test (z, xy): those with a side inside each test's S*."""
     for z, xy in tests:
-        edges = _admissible(edges, splits, k, z, xy)
+        out = _outside(splits, k, z, xy)
+        edges = [u for u in edges if not u & out or u & out == out]
         if not edges:
-            return False
-    return True
+            break
+    return edges
+
+
+# The node table of the module docstring: a binary tree's splits map to
+# its record, its edges ascending and a dict from each out (see _outside)
+# a walk has asked about to the edges admitted, as a bitmask, bit j
+# standing for edges[j]. Records are filled on first use and never
+# evicted; threads racing on one entry compute it twice, the same both
+# times.
+_TABLE_LEAVES = 7
+_NODES: dict[tuple[int, ...], tuple[list[int], dict[int, int]]] = {}
+
+
+def _region(edges: list[int], splits: tuple[int, ...], k: int, z: int, xy: int) -> int:
+    """The edges admitting the one test (z, xy), as a bitmask over edges."""
+    bits = j = 0
+    for u in _admissible(edges, splits, k, ((z, xy),)):
+        j = edges.index(u, j)
+        bits |= 1 << j
+    return bits
 
 
 _TWO_MISSES = -1
@@ -223,6 +246,16 @@ def _binary_walk(
     to insert a leaf past the largest leaf of every pending quartet still
     open can only grow into trees displaying all the quartets, and is
     dropped too: the caller's quartets define a tree, which is no witness.
+
+    A node on at most _TABLE_LEAVES leaves reads its record from _NODES:
+    its ascending edges, and per out (the leaves outside S*) the edges
+    with a side inside S* as a bitmask, computed on first use. It prunes
+    by ANDing those bitmasks and turns the survivors back into the
+    ascending list that _insert builds from, so the stream order, the
+    trees and the tags are what filtering the list gives. A region
+    depends only on the tree and out, so a record filled by any earlier
+    walk answers as a fresh computation would. A larger node filters its
+    edge list, which shrinks as it goes.
     """
     if n == 3:
         yield None, ()  # the star, the only tree on three leaves
@@ -248,6 +281,18 @@ def _binary_walk(
             ahead[level].append([(z, xy) for ready, z, xy in tests if ready <= level])
     scan = not open_
     last = max((level_of[i] for i in open_), default=n)  # a scan cuts nothing
+
+    def pruning(skip):
+        """By level, the tests of the quartets not in skip."""
+        return {
+            k: [(z, xy) for i, z, xy in here if i not in skip]
+            for k, here in levels.items()
+        }
+
+    # below a miss every quartet prunes; above one, those not still open
+    every = pruning(())
+    closed = every if scan else pruning(open_)
+    table_leaves = _TABLE_LEAVES
     stack: list[tuple[tuple[int, ...], int, int | None]] = [((), 3, None)]
     while stack:
         splits, k, miss = stack.pop()
@@ -256,24 +301,42 @@ def _binary_walk(
                 continue  # nothing open is left to miss
         elif miss not in open_:
             continue
-        edges = _edges(splits, k)
-        checks = ahead.get(k)
-        if checks and not all(_has_room(edges, splits, k, tests) for tests in checks):
-            continue  # some later leaf has no edge left to go into
-        here = levels.get(k, ())
-        for i, z, xy in here:
-            if miss is not None or i not in open_:
-                edges = _admissible(edges, splits, k, z, xy)
-                if not edges:
-                    break
-        if not edges:
-            continue
+        # each lookahead group, then the tests that prune here, must leave
+        # an edge; a tabled node intersects its regions, a larger one
+        # filters its edge list, which shrinks as it goes
+        tabled = k <= table_leaves
+        if tabled:
+            node = _NODES.get(splits)
+            if node is None:
+                node = _NODES[splits] = (_edges(splits, k), {})
+            edges, regions = node
+        else:
+            edges = _edges(splits, k)
+        prune = (every if miss is not None else closed).get(k, ())
+        for tests in (*ahead.get(k, ()), prune):
+            if not tabled:
+                kept = _admissible(edges, splits, k, tests)
+            else:
+                kept = (1 << len(edges)) - 1
+                for z, xy in tests:
+                    out = _outside(splits, k, z, xy)
+                    region = regions.get(out)
+                    if region is None:
+                        region = regions[out] = _region(edges, splits, k, z, xy)
+                    kept &= region
+                    if not kept:
+                        break
+            if not kept:
+                break
+        if not kept:
+            continue  # some later leaf has no edge left to go into, or k has none
+        edges = [u for j, u in enumerate(edges) if kept >> j & 1] if tabled else kept
         tags = [miss] * len(edges)
         if miss is None and open_:
-            for i, z, xy in here:
+            for i, z, xy in levels.get(k, ()):
                 if i not in open_:
                     continue
-                kept = _admissible(edges, splits, k, z, xy)
+                kept = _admissible(edges, splits, k, ((z, xy),))
                 if len(kept) == len(edges):
                     continue
                 kept = set(kept)
@@ -296,6 +359,7 @@ def _binary_walk(
             open_.difference_update(first)
             if not open_:
                 return
+            closed = pruning(open_)
             last = max(level_of[i] for i in open_)
             continue
         children = _insert(splits, k, edges)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .decide import NOT_DEFINITIVE, _removal_witnesses, minimality_report
@@ -45,14 +46,19 @@ class SearchFinding:
     trials_used: int
 
 
-def _quartet_rows(n: int) -> list[tuple[int, int, int, int]]:
-    """Every normalized quartet on n leaves as its index tuple, in Quartet order."""
+@lru_cache(maxsize=1)
+def _quartet_rows(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every normalized quartet on n leaves as its index tuple, in Quartet order.
+
+    Built once per n, since run_search draws from it on every call; only
+    the last n's rows are kept, as there are 3 C(n, 4) of them.
+    """
     # a < b < c < d, so these three are in normal form already, and
     # sorting the index tuples gives the Quartet order
     rows = []
     for a, b, c, d in combinations(range(n), 4):
         rows += ((a, b, c, d), (a, c, b, d), (a, d, b, c))
-    return sorted(rows)
+    return tuple(sorted(rows))
 
 
 def all_quartets(leaves: LeafSet) -> list[Quartet]:

@@ -779,29 +779,103 @@ def _first_misses(whole, quartets, pending):
     return found
 
 
+def _sampled_walks(seed, count, streams):
+    """count seeded (n, quartets, pending) on the leaf counts of streams:
+    mostly quartets of one tree from the stream, some of them flipped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(min(streams), max(streams))
+        source = rng.choice(streams[n])
+        chosen = set()
+        for _ in range(rng.randint(n - 3, 2 * n)):
+            options = _resolutions(rng.sample(range(n), 4))
+            shown = [q for q in options if _displays_masks(source, [q.pair_masks()])]
+            chosen.add(shown[0] if rng.random() < 0.9 else rng.choice(options))
+        quartets = sorted(chosen)
+        pending = sorted(rng.sample(range(len(quartets)), rng.randint(1, len(quartets))))
+        yield n, quartets, pending
+
+
 class TestPendingWalk:
     """With pending quartets the walk yields each one's first tree that
     misses it alone, checked against the unpruned binary stream."""
 
     def test_matches_the_unpruned_stream(self):
-        rng = random.Random(15)
         streams = {n: list(_stream_masks(n, "binary")) for n in range(5, 9)}
         witnessed = unwitnessed = 0
-        for _ in range(300):
-            n = rng.randint(5, 8)
-            source = rng.choice(streams[n])
-            chosen = set()
-            for _ in range(rng.randint(n - 3, 2 * n)):
-                options = _resolutions(rng.sample(range(n), 4))
-                shown = [q for q in options if _displays_masks(source, [q.pair_masks()])]
-                chosen.add(shown[0] if rng.random() < 0.9 else rng.choice(options))
-            quartets = sorted(chosen)
-            pending = sorted(rng.sample(range(len(quartets)), rng.randint(1, len(quartets))))
+        for n, quartets, pending in _sampled_walks(15, 300, streams):
             expected = _first_misses(streams[n], quartets, pending)
             assert list(decide._binary_walk(quartets, n, pending)) == expected
             witnessed += len(expected)
             unwitnessed += len(pending) - len(expected)
         assert witnessed and unwitnessed
+
+
+class TestNodeTable:
+    """The walk's table of the binary trees on at most _TABLE_LEAVES
+    leaves changes no answer: a record's edges and regions depend only on
+    its tree and the S* masks asked about, never on the walk that filled
+    them."""
+
+    def test_yields_do_not_depend_on_the_table(self, monkeypatch):
+        streams = {n: list(_stream_masks(n, "binary")) for n in range(5, 9)}
+        cases = []
+        for n, quartets, pending in _sampled_walks(16, 120, streams):
+            pairs = [q.pair_masks() for q in quartets]
+            shown = [(None, m) for m in streams[n] if _displays_masks(m, pairs)]
+            misses = _first_misses(streams[n], quartets, pending)
+            cases.append((n, quartets, pending, misses, shown))
+        # an emptied table, the same table filled, and one that stops at 5
+        # leaves, so that tabled and untabled nodes meet in each walk
+        monkeypatch.setattr(decide, "_NODES", {})
+        for bound in (7, 7, 5):
+            monkeypatch.setattr(decide, "_TABLE_LEAVES", bound)
+            for n, quartets, pending, misses, shown in cases:
+                assert list(decide._binary_walk(quartets, n, pending)) == misses
+                assert list(decide._binary_walk(quartets, n)) == shown
+        assert any(misses for *_, misses, _ in cases)
+        assert any(len(shown) == 1 for *_, shown in cases)
+        assert any(len(shown) > 1 for *_, shown in cases)
+        assert any(not shown for *_, shown in cases)
+
+    def test_holds_only_the_small_trees(self, monkeypatch):
+        monkeypatch.setattr(decide, "_NODES", {})
+        for n in range(5, 13):
+            minimality_report(minimal_definitive_set(n))
+            if n >= 10:
+                minimality_report(_swap15(minimal_definitive_set(n)))
+        table = decide._NODES
+        assert 0 < len(table) <= 1069
+        for splits, (edges, regions) in table.items():
+            k = len(splits) + 3  # a binary tree on leaves 0..k-1
+            assert k <= 7
+            assert edges == enumeration._edges(splits, k)
+            full = (1 << k) - 1
+            for out, region in regions.items():
+                # the edges with a side inside S*, the leaves not in out
+                inside = [not u & out or not (full ^ u) & out for u in edges]
+                assert region == sum(1 << j for j, ok in enumerate(inside) if ok)
+
+    def test_a_repeated_search_fills_nothing(self, monkeypatch):
+        monkeypatch.setattr(decide, "_NODES", {})
+        regions = []
+        real = decide._region
+
+        def counting(*args):
+            regions.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(decide, "_region", counting)
+        added = []
+        found = []
+        for _ in range(2):
+            before = (len(decide._NODES), len(regions))
+            found.append(run_search(8, 6, 50, seed=1))
+            added.append((len(decide._NODES) - before[0], len(regions) - before[1]))
+        assert found[0] == found[1]
+        # pinned like TestWalkSize's trees built: the first search fills 925
+        # of the 1,069 records and computes 5,882 regions, the second none
+        assert added == [(925, 5882), (0, 0)]
 
 
 class TestRemovalWitnesses:
