@@ -25,7 +25,7 @@ from .decide import (
     semantic_infers,
 )
 from .enumeration import ALL_CAP, count_trees, enumerate_trees
-from .errors import QuartetError
+from .errors import ParseError, QuartetError
 from .model import LeafSet, integer_leaves, make_quartet, displays
 from .newick import parse_newick, serialize_newick
 from .quartetfile import parse_quartet_file, parse_quartet_text, serialize_quartet_set
@@ -43,7 +43,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
 
 
 def _report_json(report) -> dict:

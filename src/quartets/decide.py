@@ -28,18 +28,29 @@ The closure certificate answers without a scan and is never wrong; it
 only sometimes declines. Q is closed under the one inference rule,
 which is sound, so every displayer of Q displays the closure. The
 closed quartets that hold a leaf x, read with x as the root, are rooted
-triples: xa|bc says that b and c share a cluster without a. BUILD (Aho,
-Sagiv, Szymanski and Ullman, SIAM J. Comput. 1981) decides whether a
-set of rooted triples is compatible. If it fails for some x, nothing
-displays Q: the verdict is incompatible. If it grows a binary tree T
-that displays Q, and x's triples distinguish all n-3 edges of T (each
-edge is the unique separating edge of one of them), those triples
-define T (Semple and Steel, Phylogenetics, 2003, ch. 6), so T is the
-only displayer of Q. Otherwise the scan decides. minimality_report
-uses the same edge-pinning check on Q minus q and its known tree, and
-marks q redundant without a scan when one leaf's closed quartets pin
-every edge. The quartets neither check settles share one walk of the
-binary stream: any binary tree displaying Q minus q and q is T, so q's
+triples: xc|ab says that a and b share a cluster without c. BUILD (Aho,
+Sagiv, Szymanski and Ullman, SIAM J. Comput. 1981) grows a rooted tree
+from them: inside each cluster it links a and b for every triple ab|c
+whose three leaves lie in the cluster, and the linked components become
+the cluster's children. If some cluster stays connected, no rooted tree
+displays the triples, so nothing displays Q: the verdict is
+incompatible. If BUILD grows a binary tree T, x's triples define T.
+Each cluster C with children C1 and C2 is linked, at its parent's
+level, by some triple ab|c with a in C1 and b in C2, and c lies outside
+C, or the same triple would join C1 and C2 at C's own level. So the
+edge above C is the only one separating ab from xc: every edge of T is
+pinned, and triples pinning every edge of a tree that displays them
+define it (Semple and Steel, Phylogenetics, 2003, ch. 6). Every
+displayer of Q, rooted at x, displays x's triples, so it is T: the
+verdict is defines with T when T displays Q, and incompatible when it
+does not. The first leaf whose BUILD fails or grows a binary tree
+settles Q; when no leaf does, the scan decides.
+
+minimality_report marks q redundant without a scan when, in the
+closure of Q minus q, the quartets holding one leaf pin every edge of
+the known tree T: by the same theorem they define T. The quartets
+neither that nor a loose edge settles share one walk of the binary
+stream: any binary tree displaying Q minus q and q is T, so q's
 witness is the first tree in stream order that misses q alone, and one
 walk that follows trees missing at most one such quartet finds every
 witness. The scan cap bounds only the scans.
@@ -190,12 +201,13 @@ _TABLE_LEAVES = 7
 _NODES: dict[tuple[int, ...], tuple[list[int], dict[int, int]]] = {}
 
 
-def _region(edges: list[int], splits: tuple[int, ...], k: int, z: int, xy: int) -> int:
-    """The edges admitting the one test (z, xy), as a bitmask over edges."""
-    bits = j = 0
-    for u in _admissible(edges, splits, k, ((z, xy),)):
-        j = edges.index(u, j)
-        bits |= 1 << j
+def _region(edges: list[int], out: int) -> int:
+    """The edges admitting a test with this out, as a bitmask over edges:
+    those with a side inside S*, as in _admissible."""
+    bits = 0
+    for j, u in enumerate(edges):
+        if not u & out or u & out == out:
+            bits |= 1 << j
     return bits
 
 
@@ -322,7 +334,7 @@ def _binary_walk(
                     out = _outside(splits, k, z, xy)
                     region = regions.get(out)
                     if region is None:
-                        region = regions[out] = _region(edges, splits, k, z, xy)
+                        region = regions[out] = _region(edges, out)
                     kept &= region
                     if not kept:
                         break
@@ -482,13 +494,11 @@ def _build(leaves: int, triples: list[tuple[int, int]]) -> list[int] | None:
 def _closure_certificate(qs: QuartetSet) -> list[tuple[int, ...]] | None:
     """Settle qs without a scan: its displayers' masks as defines reads them.
 
-    For each leaf x, the closed quartets holding x are read as rooted
-    triples with root x (xa|bc becomes bc|a) and handed to BUILD. If
-    BUILD fails, no tree displays them, so none displays qs: the answer
-    is []. If it grows a binary tree T that displays qs, and x's own
-    quartets pin every edge of T, then those triples define T rooted at
-    x and qs defines T: the answer is [T's masks]. None means no leaf
-    settled it.
+    The certificate of the module docstring. For each leaf x in turn,
+    the closed quartets holding x are read as rooted triples with root x
+    (xc|ab becomes ab|c) and handed to BUILD. The first x whose BUILD
+    fails, or grows a binary tree T, settles qs: [T's masks] when T
+    displays qs, and [] otherwise. None means no leaf settled it.
     """
     n = qs.leaves.n
     full = (1 << n) - 1
@@ -501,11 +511,9 @@ def _closure_certificate(qs: QuartetSet) -> list[tuple[int, ...]] | None:
         clusters = _build(full ^ bit, triples)
         if clusters is None:
             return []
-        if len(clusters) != n - 3:
-            continue
-        masks = tuple(_canonical(c, full) for c in clusters)
-        if _displays_masks(masks, pairs) and not _undistinguished_masks(masks, held):
-            return [masks]
+        if len(clusters) == n - 3:
+            masks = tuple(_canonical(c, full) for c in clusters)
+            return [masks] if _displays_masks(masks, pairs) else []
     return None
 
 
@@ -573,13 +581,10 @@ def defines(
     every tree (no degree-2 vertices), drops each one as soon as a quartet
     whose last leaf it has inserted is not displayed, and counts the
     survivors. Fast mode tries the closure certificate, then falls back on
-    the binary scan, stopping at two displayers. Scanning only binary
-    trees is exact: a non-binary displayer has at least three binary
-    refinements, each displaying every quartet it displays, so a set with
-    one binary displayer has no other displayer, and a set with none has
-    none. cap bounds the scans only: a set the certificate settles is
-    answered at any size. Every route hands up to two displayers to one
-    tail, which turns them into the verdict.
+    the binary scan, stopping at two displayers; the module docstring
+    says why each is exact. cap bounds the scans only: a set the
+    certificate settles is answered at any size. Every route hands up to
+    two displayers to one tail, which turns them into the verdict.
     """
     if mode not in ("fast", "oracle"):
         raise QuartetError(f"mode must be 'fast' or 'oracle', got {mode!r}")
@@ -751,29 +756,3 @@ def inference_closure(qs: QuartetSet) -> QuartetSet:
     closed = _close_pairs(q.pair_masks() for q in qs.quartets)
     return QuartetSet(qs.leaves, frozenset(quartet(*p) for p in closed))
 
-
-def common_leaf_certificate(qs: QuartetSet, tree: PhyloTree) -> bool:
-    """Sufficient condition for qs to define the tree, checked directly.
-
-    True when the tree is binary, some leaf occurs in every quartet, the
-    tree displays every quartet, and every edge of the tree is the unique
-    separating edge of some quartet. Read with that leaf as the root, the
-    quartets are rooted triples that define the tree, so it is the only
-    displayer on these leaves. A non-binary tree is never defined: each
-    of its refinements displays everything it displays.
-    """
-    moved = qs.translate(tree.leaves)
-    if set(moved.support_labels()) != set(tree.leaves.labels):
-        raise AmbientMismatchError(
-            "certificate applies when the quartets use exactly the tree's leaves"
-        )
-    pairs = _pairs(moved)
-    common = tree.leaves.full_mask()
-    for p1, p2 in pairs:
-        common &= p1 | p2
-    return (
-        tree.is_binary()
-        and common != 0
-        and _displays_masks(tree.masks, pairs)
-        and not _undistinguished_masks(tree.masks, pairs)
-    )

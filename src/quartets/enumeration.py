@@ -57,6 +57,8 @@ def _check_mode(mode: str) -> None:
 def _check_size(n: int, mode: str, cap: int | None) -> None:
     if n < 3:
         raise TooFewLeavesError("enumeration needs at least 3 leaves")
+    if n > MAX_LEAVES:
+        integer_leaves(n)  # raises the model's leaf-cap error, whatever the cap
     limit = cap if cap is not None else (BINARY_CAP if mode == "binary" else ALL_CAP)
     if n > limit:
         raise TooManyLeavesError(

@@ -11,6 +11,7 @@ from quartets import (
     minimal_definitive_set,
     normalized_quartet,
 )
+from quartets import decide
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -28,6 +29,16 @@ def t6():
 @pytest.fixture(scope="session")
 def q6() -> QuartetSet:
     return minimal_definitive_set(6)
+
+
+def refuse_scan(*args):
+    raise AssertionError("the binary scan ran")
+
+
+@pytest.fixture
+def no_scan(monkeypatch):
+    """Make the binary walk raise, so that only the closure certificate answers."""
+    monkeypatch.setattr(decide, "_binary_walk", refuse_scan)
 
 
 def quartet_set_from_indices(leaves: LeafSet, index_rows) -> QuartetSet:

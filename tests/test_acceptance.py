@@ -15,9 +15,8 @@ import time
 import pytest
 
 import oracles
-from conftest import DATA, quartet_set_from_indices, qset
+from conftest import DATA, quartet_set_from_indices, qset, refuse_scan
 from quartets import (
-    common_leaf_certificate,
     count_trees,
     defines,
     displayers,
@@ -37,6 +36,7 @@ from quartets import (
     undistinguished_edges,
     witness_chain,
 )
+from quartets import decide
 
 
 @pytest.fixture
@@ -118,7 +118,7 @@ def test_criterion_04_exhaustive_five_leaf_inference(announce):
             assert semantic_infers(premises, conclusion, leaves=ls)
 
 
-def test_criterion_05_definitive_sets_behave(announce):
+def test_criterion_05_definitive_sets_behave(announce, monkeypatch):
     with announce("5 definitive sets pin edges and respect the bound"):
         certified = 0
         for n in (5, 6, 7):
@@ -138,8 +138,12 @@ def test_criterion_05_definitive_sets_behave(announce):
                     continue
                 assert undistinguished_edges(support, v.tree) == ()
                 assert len(support) >= len(support.support_labels()) - 3
-                if common_leaf_certificate(support, v.tree):
+                if set.intersection(*(set(q.indices()) for q in support)):
+                    # one leaf's triples define the tree: no scan is needed
                     certified += 1
+                    with monkeypatch.context() as patch:
+                        patch.setattr(decide, "_binary_walk", refuse_scan)
+                        assert defines(support).tree == v.tree
                     oracle = defines(support, mode="oracle")
                     assert oracle.is_definitive and oracle.tree == v.tree
         assert certified > 0

@@ -310,6 +310,26 @@ class TestUsage:
         out = run("enumerate", "--n", "six")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize(
+        "command, flag, extra",
+        [
+            ("check", "--quartets", ()),
+            ("infer", "--quartets", ("--closure",)),
+            ("display", "--tree", ("--quartet", "1,2|3,4")),
+        ],
+    )
+    def test_input_that_is_not_utf8(self, command, flag, extra, tmp_path):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes("1,2|3,4\n# caf\u00e9\n".encode("latin-1"))
+        out = run(command, flag, str(f), *extra)
+        assert out.returncode == 2
+        assert out.stderr == f"error: {f} is not UTF-8 text: invalid continuation byte at byte 13\n"
+
+    def test_no_cap_reaches_past_the_model_cap(self):
+        out = run("enumerate", "--n", "70", "--count-only", "--cap", "70")
+        assert out.returncode == 2
+        assert out.stderr == "error: 70 leaves exceeds the 64-leaf cap\n"
+
     def test_version(self):
         out = run("--version")
         assert out.returncode == 0

@@ -9,6 +9,7 @@ from quartets import (
     LeafSet,
     PhyloTree,
     QuartetError,
+    QuartetSet,
     TooFewLeavesError,
     TooManyLeavesError,
     WitnessChain,
@@ -127,19 +128,17 @@ class TestSequence:
         assert reverse(by_index[4], leaves=ls) == by_index[2 * k - 12]
 
     @pytest.mark.parametrize("k", range(6, 13))
-    def test_closure_contains_the_ladder(self, k):
+    def test_closure_contains_the_ladder(self, k, no_scan):
         ls = integer_leaves(k)
         closed = inference_closure(minimal_definitive_set(k))
         ladder = [make_quartet(ls, 1, m, m + 1, m + 3) for m in range(2, k - 2)]
         ladder.append(make_quartet(ls, 1, k - 2, k - 1, k))
         for q in ladder:
             assert q in closed
-        # leaf 1 is common to the whole ladder, which certifies the
-        # caterpillar without any enumeration
-        from quartets import QuartetSet, common_leaf_certificate
-
+        # leaf 1 is common to the whole ladder, whose triples on it define
+        # the caterpillar without any enumeration
         ladder_set = QuartetSet.from_quartets(ls, ladder)
-        assert common_leaf_certificate(ladder_set, caterpillar(k))
+        assert defines(ladder_set).tree == caterpillar(k)
 
 
 class TestTargetTree:
@@ -239,6 +238,24 @@ class TestWitnessChain:
         with pytest.raises(WitnessCheckError) as info:
             witness_chain(7)
         assert info.value.level == 5
+
+    @pytest.mark.parametrize(
+        "witness, message",
+        [
+            (lambda target: caterpillar(6), "witness 1: wrong leaf set"),
+            (lambda target: target, "witness 1: coincides with the target tree"),
+        ],
+        ids=["wrong-leaves", "the-target"],
+    )
+    def test_level_check_refuses_a_bad_witness(self, witness, message, monkeypatch):
+        # level 5 takes both its witnesses from the loose edges
+        monkeypatch.setattr(
+            construct, "_loose_edge_witness", lambda level, rest, target: witness(target)
+        )
+        with pytest.raises(WitnessCheckError) as info:
+            witness_chain(5)
+        assert info.value.level == 5
+        assert str(info.value) == f"{message} at level 5"
 
     @pytest.mark.parametrize("i, missed", [(1, "1,3|4,6"), (2, "1,2|3,5")])
     def test_display_failure_names_the_first_missed_quartet(self, i, missed):

@@ -2,6 +2,7 @@
 
 import random
 from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from quartets import (
     all_quartets,
     caterpillar,
     caterpillar_from_order,
-    common_leaf_certificate,
     defines,
     displayers,
     displays,
@@ -297,37 +297,48 @@ class TestClosure:
 
 
 class TestCommonLeafCertificate:
-    def test_ladder_set_passes(self, leaves6, t6):
+    """Sets whose quartets all hold one leaf. When such a set defines a
+    tree, that leaf's triples alone define it, so the closure certificate
+    settles it and defines answers with the scan refused."""
+
+    def test_ladder_set_passes(self, leaves6, t6, no_scan):
         qs = qset(leaves6, (1, 2, 3, 5), (1, 3, 4, 6), (1, 4, 5, 6))
-        assert common_leaf_certificate(qs, t6)
-        assert defines(qs, mode="oracle").tree == t6
+        assert defines(qs).tree == t6
 
-    def test_the_size_four_set_fails_common_leaf(self, q6, t6):
-        # no single leaf occurs in all four quartets
-        assert not common_leaf_certificate(q6, t6)
+    def test_the_size_four_set_fails_common_leaf(self, q6, t6, no_scan):
+        # no single leaf occurs in all four quartets; another leaf's
+        # closed triples settle the set all the same
+        assert not set.intersection(*(set(q.indices()) for q in q6))
+        assert defines(q6).tree == t6
 
-    def test_quartets_must_use_every_tree_leaf(self, leaves6, t6):
+    def test_quartets_must_use_every_tree_leaf(self, leaves6):
         qs = qset(leaves6, (1, 2, 3, 4))
         with pytest.raises(
             AmbientMismatchError,
-            match="certificate applies when the quartets use exactly the tree's leaves",
+            match="ambient leaf set differs from the leaves the quartets use",
         ):
-            common_leaf_certificate(qs, t6)
+            defines(qs, leaves6)
 
-    def test_single_quartet_passes(self):
-        ls = integer_leaves(4)
-        qs = qset(ls, (1, 2, 3, 4))
-        assert common_leaf_certificate(qs, caterpillar(4))
+    def test_single_quartet_passes(self, no_scan):
+        qs = qset(integer_leaves(4), (1, 2, 3, 4))
+        assert defines(qs).tree == caterpillar(4)
 
     def test_display_failure_fails(self, leaves6, t6):
+        # t6 does not display 1,3|2,5, and the set defines no tree: the
+        # certificate declines, and the set has seven displayers
         qs = qset(leaves6, (1, 3, 2, 5), (1, 3, 4, 6), (1, 4, 5, 6))
-        assert not common_leaf_certificate(qs, t6)
+        assert decide._closure_certificate(qs) is None
+        assert defines(qs).status == NOT_DEFINITIVE
+        assert defines(qs, mode="oracle").displayer_count == 7
+        assert t6 not in displayers(qs)
 
     def test_non_binary_tree_fails(self):
-        # every quartet holds 1 and pins the tree's one edge, but the
-        # tree's three binary refinements display both quartets too
+        # every quartet holds 1 and pins ((1,2),3,4,5)'s one edge, but its
+        # three binary refinements display both quartets too: leaf 1's
+        # BUILD tree is that non-binary tree, and the scan finds two
         qs = parse_quartet_file("1,2|3,4\n1,2|3,5\n")
-        assert not common_leaf_certificate(qs, parse_newick("((1,2),3,4,5);"))
+        assert decide._closure_certificate(qs) is None
+        assert defines(qs).status == NOT_DEFINITIVE
         assert defines(qs, mode="oracle").displayer_count == 4
 
 
@@ -386,8 +397,6 @@ class TestOracleFastAgreement:
                 assert undistinguished_edges(qs, fast.tree) == ()
                 assert len(qs) >= len(qs.support_labels()) - 3
                 definitive_seen += 1
-                if common_leaf_certificate(qs, fast.tree):
-                    assert oracle.tree == fast.tree
         assert definitive_seen > 0
 
     @pytest.mark.parametrize("n", [5, 6, 7])
@@ -610,27 +619,82 @@ class TestClosureCertificate:
         assert statuses == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
         assert certified == {DEFINES, INCOMPATIBLE}
 
-    def test_the_scan_never_runs_on_the_construction(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the binary scan ran")
-
-        monkeypatch.setattr(decide, "_binary_walk", refuse)
+    def test_the_scan_never_runs_on_the_construction(self, no_scan):
         for n in range(6, 65):
             v = defines(minimal_definitive_set(n))
             assert v.is_definitive and v.tree == caterpillar(n)
 
     @pytest.mark.parametrize("n", [8, 12, 20])
-    def test_redundancy_is_settled_without_a_scan(self, n, monkeypatch):
+    def test_redundancy_is_settled_without_a_scan(self, n, no_scan):
         # every quartet the closure adds to the construction is redundant
-        def refuse(*args):
-            raise AssertionError("the binary scan ran")
-
-        monkeypatch.setattr(decide, "_binary_walk", refuse)
         qs = inference_closure(minimal_definitive_set(n))
         report = minimality_report(qs)
         kinds = [w.kind for _, w in report.entries]
         assert kinds.count("redundant") == len(qs) - 2
         assert kinds.count("undistinguished_edge") == 2
+
+    def test_a_binary_tree_that_misses_the_set_is_incompatible(self, no_scan):
+        # leaf 3's triples grow a binary tree, the only tree they fit, and
+        # it does not display 1,4|3,6, so no tree displays the set
+        qs = parse_quartet_file("1,4|3,6\n1,6|4,5\n2,5|3,4\n2,6|3,5\n")
+        assert defines(qs).status == INCOMPATIBLE
+        assert defines(qs, mode="oracle").status == INCOMPATIBLE
+
+    @staticmethod
+    def _differential_inputs():
+        """Seeded sets on 5-12 leaves, 25 of each kind per n: random sets,
+        samples of a random binary tree with a conflicting quartet half
+        the time, and the construction with two leaves swapped, then a
+        quartet dropped or flipped two times in three."""
+        rng = random.Random(22)
+        for n in range(5, 13):
+            ls = integer_leaves(n)
+            for rows in oracles.random_index_sets(n, 25, seed=22 + n, max_size=2 * n):
+                yield quartet_set_from_indices(ls, rows)
+            for _ in range(25):
+                tree = _random_binary_tree(rng, n)
+                quartets = set()
+                for _ in range(rng.randint(n, 6 * n)):
+                    four = _resolutions(rng.sample(range(n), 4))
+                    quartets.update(q for q in four if displays(tree, q))
+                if rng.random() < 0.5:
+                    four = _resolutions(rng.sample(range(n), 4))
+                    quartets.add(next(q for q in four if not displays(tree, q)))
+                yield QuartetSet(ls, frozenset(quartets))
+            construction = minimal_definitive_set(n)
+            labels = construction.leaves.labels
+            for _ in range(25):
+                sigma = dict(zip(labels, labels))
+                i, j = rng.sample(labels, 2)
+                sigma[i], sigma[j] = j, i
+                quartets = set(relabel(construction, sigma).quartets)
+                r = rng.random()
+                if r < 2 / 3:
+                    q = rng.choice(sorted(quartets))
+                    quartets.remove(q)
+                    if r < 1 / 3:
+                        quartets.add(rng.choice([p for p in _resolutions(q.indices()) if p != q]))
+                yield QuartetSet(ls, frozenset(quartets))
+
+    def test_settled_answers_match_the_oracle_or_the_scan(self):
+        # the oracle checks up to 9 leaves, the binary scan past that; the
+        # counts pin how much the certificate settles
+        settled_by_status = {DEFINES: 0, INCOMPATIBLE: 0}
+        for qs in self._differential_inputs():
+            settled = decide._closure_certificate(qs)
+            if settled is None:
+                continue
+            n = qs.leaves.n
+            if n <= 9:
+                oracle = defines(qs, qs.leaves, mode="oracle", allow_larger_ambient=True)
+                expected = [oracle.tree] if oracle.is_definitive else []
+                assert oracle.status != NOT_DEFINITIVE
+            else:
+                walk = decide._binary_walk(qs.sorted_quartets(), n)
+                expected = [PhyloTree(qs.leaves, m) for _, m in islice(walk, 2)]
+            assert [PhyloTree(qs.leaves, m) for m in settled] == expected
+            settled_by_status[DEFINES if settled else INCOMPATIBLE] += 1
+        assert settled_by_status == {DEFINES: 108, INCOMPATIBLE: 196}
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_dropping_a_quartet_defeats_it(self, n):
@@ -734,9 +798,11 @@ class TestWalkSize:
             (minimality_report, _data("q7.txt"), 9),
             # a search decides through both walks, with the seed in qs's
             # place; without the lookahead it builds 28,639 trees, 15,087
-            # when its strip re-checks each drop with defines, and 13,220
-            # when it re-validates each stripped set it can still report
-            (partial(run_search, 8, 6, 50), 1, 11085),
+            # when its strip re-checks each drop with defines, 13,220 when
+            # it re-validates each stripped set it can still report, and
+            # 11,085 when the certificate passes over a binary BUILD tree
+            # that fails to display the set
+            (partial(run_search, 8, 6, 50), 1, 11060),
         ],
         ids=[
             "defines-swap15-10", "defines-swap15-11", "defines-swap15-12",

@@ -257,6 +257,12 @@ def test_explicit_cap_overrides_default():
     assert count_trees(9, "binary", cap=9) == oracles.binary_tree_count(9)
 
 
+@pytest.mark.parametrize("n, mode", [(70, "binary"), (65, "all")])
+def test_no_cap_reaches_past_the_model_cap(n, mode):
+    with pytest.raises(TooManyLeavesError, match=f"^{n} leaves exceeds the 64-leaf cap$"):
+        count_trees(n, mode, cap=n)
+
+
 def test_bad_mode_rejected():
     with pytest.raises(Exception):
         count_trees(5, "ternary")
