@@ -10,10 +10,10 @@ Example:
 """
 
 import argparse
-import os
 import sys
 
 from quartets import QuartetError, run_search
+from quartets.cli import run
 
 
 def main(argv=None):
@@ -22,21 +22,12 @@ def main(argv=None):
     parser.add_argument("--budget", type=int, default=2000, help="trials per seed")
     parser.add_argument("--seeds", type=int, default=3, help="seeds 1..k per n")
     args = parser.parse_args(argv)
-    try:
-        code = explore(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # the reader has gone: send what is still buffered nowhere, so that
-        # exit does not flush it again and print a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except QuartetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run(explore, args)
 
 
 def explore(args):
+    if args.seeds < 1:
+        raise QuartetError(f"--seeds must be at least 1, got {args.seeds}")
     for n in args.n:
         family = 2 * n - 8 if n >= 5 else None  # the family starts at five leaves
         best = None

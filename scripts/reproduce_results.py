@@ -7,7 +7,6 @@ Exits nonzero if anything disagrees.
 """
 
 import argparse
-import os
 import sys
 import time
 
@@ -25,6 +24,7 @@ from quartets import (
     serialize_quartet_set,
     verify_construction,
 )
+from quartets.cli import run
 from quartets.enumeration import BINARY_CAP
 
 
@@ -46,21 +46,15 @@ def main(argv=None):
         help="largest n for the binary-count cross-check",
     )
     args = parser.parse_args(argv)
-    try:
-        code = reproduce(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # the reader has gone: send what is still buffered nowhere, so that
-        # exit does not flush it again and print a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except QuartetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return run(reproduce, args)
 
 
 def reproduce(args):
+    if args.binary_count_n < 4:
+        # the count cross-check starts at four leaves, so a smaller n checks nothing
+        raise QuartetError(
+            f"--binary-count-n must be at least 4, got {args.binary_count_n}"
+        )
     # opening the stream checks the enumeration cap, so a count that would
     # run for hours is refused before any work; the cap is passed, because
     # this script has no option to raise it and the library's own refusal

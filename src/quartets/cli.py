@@ -1,10 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 for success (or a true answer), 1 for a false answer or a
-failed check, 2 for unusable input. Every boolean-flavoured command
-mirrors its printed answer in the exit code so shell pipelines can
-branch on it without scraping output. A reader that closes the pipe
-early, such as `head`, ends the command quietly with exit code 1.
+failed check, 2 for unusable input or a failed write, reported as one
+`error:` line on stderr. Every boolean-flavoured command mirrors its
+printed answer in the exit code so shell pipelines can branch on it
+without scraping output. A reader that closes the pipe early, such as
+`head`, ends the command quietly with exit code 1. `run` holds this
+contract; the scripts under scripts/ end through it too.
 """
 
 from __future__ import annotations
@@ -323,15 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "semantic", False) and not getattr(args, "query", None):
-        parser.error("--semantic requires --query")
+def run(body, args) -> int:
+    """Run one entry point's body under the exit contract and return its code."""
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        code = body(args)
+        sys.stdout.flush()  # a closed pipe or a full disk shows here, not at exit
         return code
     except BrokenPipeError:
         # the reader has gone: send what is still buffered nowhere, as the
@@ -341,6 +339,15 @@ def main(argv=None) -> int:
     except (QuartetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "semantic", False) and not getattr(args, "query", None):
+        parser.error("--semantic requires --query")
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

@@ -552,8 +552,8 @@ def _resolve_ambient(
             )
         if len(support) == qs.leaves.n:
             return qs, qs.leaves
-        ambient = LeafSet.from_labels(support)
-        return qs.translate(ambient), ambient
+        moved = qs.restrict_to_support()
+        return moved, moved.leaves
     if set(leaves.labels) != set(support):
         if not allow_larger_ambient:
             raise AmbientMismatchError(

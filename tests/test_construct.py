@@ -34,7 +34,7 @@ from quartets import (
     verify_construction,
     witness_chain,
 )
-from quartets import construct, decide
+from quartets import construct
 
 
 def texts(n):
@@ -390,11 +390,7 @@ class TestVerifyConstruction:
         with pytest.raises(TooManyLeavesError):
             verify_construction(9, oracle_max_n=9, cap=8)
 
-    def test_minimality_needs_no_scan(self, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("the binary scan ran")
-
-        monkeypatch.setattr(decide, "_binary_walk", no_scan)
+    def test_minimality_needs_no_scan(self, no_scan):
         assert verify_construction(12, oracle_max_n=5).all_ok
 
     def test_past_the_old_scan_ceiling(self):

@@ -1,5 +1,7 @@
 """The scripts under scripts/ run to completion on small inputs."""
 
+import errno
+import os
 import pathlib
 import subprocess
 import sys
@@ -8,12 +10,14 @@ import time
 import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+DEV_FULL = pathlib.Path("/dev/full")
 
 
-def run(name, *args):
+def run(name, *args, stdout=subprocess.PIPE):
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=120,
     )
@@ -64,6 +68,37 @@ def test_reproduce_results_refuses_a_construction_out_of_range(max_n, message):
 def test_explore_search_refuses_three_leaves():
     out = run("explore_search.py", "--n", "3", "--budget", "5", "--seeds", "1")
     _refused(out, "at least four leaves")
+
+
+def test_explore_search_refuses_no_seeds():
+    # no seed runs no search, so "nothing found" would say nothing
+    out = run("explore_search.py", "--n", "6", "--budget", "5", "--seeds", "0")
+    _refused(out, "--seeds must be at least 1, got 0")
+    assert out.stdout == ""
+
+
+def test_reproduce_results_refuses_a_count_that_checks_nothing():
+    # the binary count starts at four leaves, so n = 3 would count no tree
+    out = run("reproduce_results.py", "--binary-count-n", "3")
+    _refused(out, "--binary-count-n must be at least 4, got 3")
+    assert out.stdout == ""
+
+
+@pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("reproduce_results.py", ["--max-n", "6", "--binary-count-n", "5"]),
+        ("explore_search.py", ["--n", "6", "--budget", "50", "--seeds", "1"]),
+    ],
+    ids=["reproduce_results", "explore_search"],
+)
+def test_write_error_is_one_line(name, args):
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    with DEV_FULL.open("w") as full:
+        out = run(name, *args, stdout=full)
+    _refused(out, os.strerror(errno.ENOSPC))
+    assert out.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
