@@ -332,13 +332,17 @@ def run(body, args) -> int:
         sys.stdout.flush()  # a closed pipe or a full disk shows here, not at exit
         return code
     except BrokenPipeError:
-        # the reader has gone: send what is still buffered nowhere, as the
-        # Python docs advise for SIGPIPE, so that exit does not flush it again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        code = 1
     except (QuartetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    try:
+        sys.stdout.flush()  # what was printed before an input error still goes out
+    except OSError:
+        # stdout takes nothing more: send what is still buffered nowhere, as
+        # the Python docs advise for SIGPIPE, so that exit does not flush it again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def main(argv=None) -> int:

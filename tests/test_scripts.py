@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run to completion on small inputs."""
+"""The scripts under scripts/ run to completion on small inputs, and every
+entry point, the command line tool included, ends under one exit contract."""
 
 import errno
 import os
@@ -13,14 +14,19 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 DEV_FULL = pathlib.Path("/dev/full")
 
 
-def run(name, *args, stdout=subprocess.PIPE):
+def _python(*argv, stdout=subprocess.PIPE, env=None):
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
+        [sys.executable, *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         timeout=120,
+        env=env,
     )
+
+
+def run(name, *args):
+    return _python(str(SCRIPTS / name), *args)
 
 
 def test_reproduce_results():
@@ -85,20 +91,25 @@ def test_reproduce_results_refuses_a_count_that_checks_nothing():
 
 
 @pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full on this system")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "name, args",
+    "argv",
     [
-        ("reproduce_results.py", ["--max-n", "6", "--binary-count-n", "5"]),
-        ("explore_search.py", ["--n", "6", "--budget", "50", "--seeds", "1"]),
+        ["-m", "quartets", "construct", "--n", "7"],
+        [str(SCRIPTS / "reproduce_results.py"), "--max-n", "6", "--binary-count-n", "5"],
+        [str(SCRIPTS / "explore_search.py"), "--n", "6", "--budget", "50", "--seeds", "1"],
     ],
-    ids=["reproduce_results", "explore_search"],
+    ids=["cli", "reproduce_results", "explore_search"],
 )
-def test_write_error_is_one_line(name, args):
-    # every write to /dev/full fails with ENOSPC, as on a full disk
+def test_write_error_is_one_line(argv, buffered):
+    # every write to /dev/full fails with ENOSPC, as on a full disk; a buffered
+    # stdout meets it at the runner's flush and would meet it again at exit,
+    # an unbuffered one (-u) meets it at the first print
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     with DEV_FULL.open("w") as full:
-        out = run(name, *args, stdout=full)
-    _refused(out, os.strerror(errno.ENOSPC))
-    assert out.stderr.count("\n") == 1
+        out = _python(*([] if buffered else ["-u"]), *argv, stdout=full, env=env)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize(
