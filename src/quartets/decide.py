@@ -16,13 +16,15 @@ once its last leaf is in.
   just received, and one that fails is dropped with its whole subtree.
   What survives to the last leaf is counted. It is the ground truth and
   is deliberately kept free of the shortcuts below.
-* fast mode first tries the closure certificate below. When that does
-  not settle Q, it scans binary trees for displayers, stopping at two.
-  Only binary trees need scanning: a non-binary displayer has at least
-  three binary refinements, and each displays everything it displays
-  (Semple and Steel, Phylogenetics, 2003, ch. 6). So when exactly one
-  binary tree displays Q, no other tree does, and when none does,
-  nothing does.
+* fast mode reads binary trees only: a non-binary displayer has at
+  least three binary refinements, and each displays everything it
+  displays (Semple and Steel, Phylogenetics, 2003, ch. 6). So when
+  exactly one binary tree displays Q, no other tree does, and when none
+  does, nothing does. On at most _INDEX_LEAVES = 8 leaves, where the cap
+  admits the binary scan, it reads the index below. Past that, or under
+  a smaller cap, it first tries the closure certificate below, and when
+  that does not settle Q, it scans binary trees for displayers,
+  stopping at two.
 
 The closure certificate answers without a scan and is never wrong; it
 only sometimes declines. Q is closed under the one inference rule,
@@ -46,37 +48,48 @@ verdict is defines with T when T displays Q, and incompatible when it
 does not. The first leaf whose BUILD fails or grows a binary tree
 settles Q; when no leaf does, the scan decides.
 
-minimality_report marks q redundant without a scan when, in the
-closure of Q minus q, the quartets holding one leaf pin every edge of
-the known tree T: by the same theorem they define T. The quartets
-neither that nor a loose edge settles share one walk of the binary
-stream: any binary tree displaying Q minus q and q is T, so q's
-witness is the first tree in stream order that misses q alone, and one
-walk that follows trees missing at most one such quartet finds every
-witness. The scan cap bounds only the scans.
+The index holds, for each n up to _INDEX_LEAVES, the (2n-5)!! binary
+trees of _stream_masks(n, "binary") as the bits of ints: bit t is the
+t-th tree, so bit order is stream order. Each split mask has the int of
+the trees holding it, filled from one pass of the stream; each quartet
+has the OR of the split masks separating its two pairs, computed the
+first time it is asked about. The displayers of Q are the AND of its
+quartets' rows, and the first two set bits are the examples the scan
+would find. A bit decodes back to its tree without the stream: the
+stream inserts leaf k into the 2k-3 edges of a tree on leaves 0..k-1 in
+ascending order, depth first, so each tree on leaves 0..k heads a block
+of prod(2j-3 for j in k+1..n-1) consecutive trees, and t read in that
+mixed radix names the edge taken at each level. At 8 leaves a row is
+10,395 bits, and the 119 split rows and at most 210 quartet rows take
+under 0.5 MB, built once per process.
 
-_binary_walk, decide's only walk, serves only the fast route: the scan
-and the minimality witnesses. It prunes before it builds: leaf k goes
-only into edges where the child displays the quartets whose largest
-leaf is k. It also looks ahead: a tree is dropped as soon as some
-later leaf w has no edge admitting every quartet xy|zw whose x, y and z
-are placed, since every tree grown from it hangs w on one of its edges.
-Its docstring gives both arguments. The oracle, displayers and
+minimality_report's removal witnesses start with the edge check: a
+loose edge of the defined tree T, left when q is dropped, is q's
+witness. Otherwise any binary tree displaying Q minus q and q is T, so
+q's witness is the first tree in stream order that misses q alone, and
+q is redundant when there is none. The index reads it directly: the
+lowest set bit of the AND of the other rows with q's row cleared. Past
+the index, q is first marked redundant without a scan when, in the
+closure of Q minus q, the quartets holding one leaf pin every edge of T:
+by the theorem above they define T. The rest share one walk of the
+binary stream that follows trees missing at most one of them. The scan
+cap bounds only the scans, and the index, which stands for one.
+
+_binary_walk, decide's only walk, serves the fast route past the index:
+the scan and the minimality witnesses. It prunes before it builds: leaf
+k goes only into edges where the child displays the quartets whose
+largest leaf is k. It also looks ahead: a tree is dropped as soon as
+some later leaf w has no edge admitting every quartet xy|zw whose x, y
+and z are placed, since every tree grown from it hangs w on one of its
+edges. Its docstring gives both arguments. The oracle, displayers and
 semantic_infers read the filtered enumeration stream instead.
-
-The walk reads the small trees from one table that every walk in the
-process shares: for each binary tree on at most seven leaves, its edges
-and, for each S* a walk has asked about, the edges admitting it as a
-bitmask. That region is a function of the tree and the S* mask alone,
-so no answer can depend on which walks filled the table, or in what
-order. It stops at seven leaves to bound its memory: the 1,069 trees on
-3..7 leaves take about 1 MB, and eight leaves would add 10,395 more.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Literal
 
@@ -191,26 +204,6 @@ def _admissible(edges: list[int], splits: tuple[int, ...], k: int, tests) -> lis
     return edges
 
 
-# The node table of the module docstring: a binary tree's splits map to
-# its record, its edges ascending and a dict from each out (see _outside)
-# a walk has asked about to the edges admitted, as a bitmask, bit j
-# standing for edges[j]. Records are filled on first use and never
-# evicted; threads racing on one entry compute it twice, the same both
-# times.
-_TABLE_LEAVES = 7
-_NODES: dict[tuple[int, ...], tuple[list[int], dict[int, int]]] = {}
-
-
-def _region(edges: list[int], out: int) -> int:
-    """The edges admitting a test with this out, as a bitmask over edges:
-    those with a side inside S*, as in _admissible."""
-    bits = 0
-    for j, u in enumerate(edges):
-        if not u & out or u & out == out:
-            bits |= 1 << j
-    return bits
-
-
 _TWO_MISSES = -1
 
 
@@ -258,16 +251,6 @@ def _binary_walk(
     to insert a leaf past the largest leaf of every pending quartet still
     open can only grow into trees displaying all the quartets, and is
     dropped too: the caller's quartets define a tree, which is no witness.
-
-    A node on at most _TABLE_LEAVES leaves reads its record from _NODES:
-    its ascending edges, and per out (the leaves outside S*) the edges
-    with a side inside S* as a bitmask, computed on first use. It prunes
-    by ANDing those bitmasks and turns the survivors back into the
-    ascending list that _insert builds from, so the stream order, the
-    trees and the tags are what filtering the list gives. A region
-    depends only on the tree and out, so a record filled by any earlier
-    walk answers as a fresh computation would. A larger node filters its
-    edge list, which shrinks as it goes.
     """
     if n == 3:
         yield None, ()  # the star, the only tree on three leaves
@@ -304,7 +287,6 @@ def _binary_walk(
     # below a miss every quartet prunes; above one, those not still open
     every = pruning(())
     closed = every if scan else pruning(open_)
-    table_leaves = _TABLE_LEAVES
     stack: list[tuple[tuple[int, ...], int, int | None]] = [((), 3, None)]
     while stack:
         splits, k, miss = stack.pop()
@@ -314,35 +296,16 @@ def _binary_walk(
         elif miss not in open_:
             continue
         # each lookahead group, then the tests that prune here, must leave
-        # an edge; a tabled node intersects its regions, a larger one
-        # filters its edge list, which shrinks as it goes
-        tabled = k <= table_leaves
-        if tabled:
-            node = _NODES.get(splits)
-            if node is None:
-                node = _NODES[splits] = (_edges(splits, k), {})
-            edges, regions = node
-        else:
-            edges = _edges(splits, k)
+        # an edge
+        edges = _edges(splits, k)
         prune = (every if miss is not None else closed).get(k, ())
         for tests in (*ahead.get(k, ()), prune):
-            if not tabled:
-                kept = _admissible(edges, splits, k, tests)
-            else:
-                kept = (1 << len(edges)) - 1
-                for z, xy in tests:
-                    out = _outside(splits, k, z, xy)
-                    region = regions.get(out)
-                    if region is None:
-                        region = regions[out] = _region(edges, out)
-                    kept &= region
-                    if not kept:
-                        break
+            kept = _admissible(edges, splits, k, tests)
             if not kept:
                 break
         if not kept:
             continue  # some later leaf has no edge left to go into, or k has none
-        edges = [u for j, u in enumerate(edges) if kept >> j & 1] if tabled else kept
+        edges = kept
         tags = [miss] * len(edges)
         if miss is None and open_:
             for i, z, xy in levels.get(k, ()):
@@ -385,6 +348,112 @@ def _check_scan(n: int, cap: int | None, lead: str) -> None:
         _check_size(n, "binary", cap)
     except TooManyLeavesError as e:
         raise TooManyLeavesError(f"{lead}: {e}") from None
+
+
+_INDEX_LEAVES = 8
+
+
+def _indexed(n: int, cap: int | None) -> bool:
+    """Whether the fast route reads the index on n leaves: n is at most
+    _INDEX_LEAVES and the cap admits the binary scan the index stands for."""
+    if n > _INDEX_LEAVES:
+        return False
+    try:
+        _check_size(n, "binary", cap)
+    except TooManyLeavesError:
+        return False
+    return True
+
+
+class _Index:
+    """The binary trees on leaves 0..n-1 as the bits of ints, bit t for the
+    t-th tree of _stream_masks(n, "binary"): the index of the module
+    docstring.
+
+    splits maps each split mask to the trees holding it, filled from one
+    pass of the stream; rows maps a quartet's pair masks to the trees
+    displaying it, computed on first use. A row depends only on n and the
+    quartet, so a partly filled index answers as a fresh one would;
+    threads racing on one row compute it twice, the same both times.
+    """
+
+    def __init__(self, n: int):
+        # (k, trees grown from each tree on leaves 0..k, edges leaf k can take)
+        self.radix = []
+        size = 1
+        for k in range(n - 1, 2, -1):
+            self.radix.append((k, size, 2 * k - 3))
+            size *= 2 * k - 3
+        self.radix.reverse()
+        self.every = (1 << size) - 1
+        bits: dict[int, bytearray] = defaultdict(lambda: bytearray((size + 7) // 8))
+        for t, masks in enumerate(_stream_masks(n, "binary")):
+            byte, bit = t >> 3, 1 << (t & 7)
+            for m in masks:
+                bits[m][byte] |= bit
+        # each bytearray is freed as its int is made, so the two sets of
+        # rows are never held at once
+        self.splits = {m: int.from_bytes(bits.pop(m), "little") for m in list(bits)}
+        self.rows: dict[tuple[int, int], int] = {}
+
+    def row(self, pair: tuple[int, int]) -> int:
+        """The trees displaying the quartet with these pair masks: those
+        holding a split that separates them."""
+        row = self.rows.get(pair)
+        if row is None:
+            row = 0
+            for m, trees in self.splits.items():
+                if _displays_masks((m,), (pair,)):
+                    row |= trees
+            self.rows[pair] = row
+        return row
+
+    def tree(self, t: int) -> tuple[int, ...]:
+        """The masks of the t-th tree, rebuilt from the edge that t, read in
+        mixed radix, picks at each level."""
+        splits: tuple[int, ...] = ()
+        for k, below, edges in self.radix:
+            edge = _edges(splits, k)[t // below % edges]
+            (splits,) = _insert(splits, k, [edge])
+        return splits
+
+    def displayers(self, pairs, limit: int) -> list[tuple[int, ...]]:
+        """The first limit trees displaying every quartet, in stream order."""
+        bits = self.every
+        for pair in pairs:
+            bits &= self.row(pair)
+        found = []
+        while bits and len(found) < limit:
+            low = bits & -bits
+            found.append(self.tree(low.bit_length() - 1))
+            bits ^= low
+        return found
+
+    def first_misses(self, pairs, pending) -> list[tuple[int, tuple[int, ...]]]:
+        """(i, masks) of the first tree that displays every quartet but
+        pairs[i], for each i in pending that has one, in stream order."""
+        rows = [self.row(pair) for pair in pairs]
+        before = []  # before[i]: the trees displaying pairs[:i]
+        bits = self.every
+        for row in rows:
+            before.append(bits)
+            bits &= row
+        wanted = set(pending)
+        after = self.every  # the trees displaying pairs[i + 1:]
+        found = []
+        for i in reversed(range(len(rows))):
+            if i in wanted:
+                missing = before[i] & after & ~rows[i]
+                if missing:
+                    found.append(((missing & -missing).bit_length() - 1, i))
+            after &= rows[i]
+        return [(i, self.tree(t)) for t, i in sorted(found)]
+
+
+@lru_cache(maxsize=None)
+def _index(n: int) -> _Index:
+    """The index on n leaves, built once per process."""
+    return _Index(n)
 
 
 def _oracle_displayers(
@@ -580,11 +649,14 @@ def defines(
     mention; a larger one must be requested explicitly. Oracle mode grows
     every tree (no degree-2 vertices), drops each one as soon as a quartet
     whose last leaf it has inserted is not displayed, and counts the
-    survivors. Fast mode tries the closure certificate, then falls back on
-    the binary scan, stopping at two displayers; the module docstring
-    says why each is exact. cap bounds the scans only: a set the
-    certificate settles is answered at any size. Every route hands up to
-    two displayers to one tail, which turns them into the verdict.
+    survivors. Fast mode reads the first two binary displayers off the
+    index on at most _INDEX_LEAVES leaves when the cap admits the binary
+    scan on n leaves; otherwise it tries the closure certificate, then
+    falls back on the binary scan, stopping at two displayers. The module
+    docstring says why each is exact. cap bounds the scans and the index
+    only: a set the certificate settles is answered at any size. Every
+    route hands up to two displayers to one tail, which turns them into
+    the verdict.
     """
     if mode not in ("fast", "oracle"):
         raise QuartetError(f"mode must be 'fast' or 'oracle', got {mode!r}")
@@ -594,6 +666,9 @@ def defines(
         stream = _oracle_displayers(moved, cap)
         found = list(islice(stream, 2))
         count = len(found) + sum(1 for _ in stream)
+    elif _indexed(n, cap):
+        count = None
+        found = _index(n).displayers(_pairs(moved), 2)
     else:
         count = None
         found = _closure_certificate(moved)
@@ -630,24 +705,25 @@ def minimality_report(
     pinning it (contract it for a second displayer), or another tree
     displaying the rest is exhibited (the first such in stream order).
     Quartets whose removal keeps T defined are marked redundant, and the
-    set is minimal exactly when there are none. A removal is settled as
-    redundant without a scan when, in the closure of the rest, the
-    quartets holding one leaf pin every edge of T.
+    set is minimal exactly when there are none.
 
-    The quartets neither check settles share one walk of the binary
-    stream. A binary tree that displays both Q minus q and q displays Q,
-    so it is T; the trees other than T that display Q minus q are
-    exactly those that miss q alone. So q's witness is the first tree in
-    stream order whose only miss is q, and the walk only has to follow
-    trees that miss at most one of these quartets. A quartet with no
-    such tree is redundant: every edge of T is pinned without it, and T
-    is the only binary tree left.
+    A binary tree that displays both Q minus q and q displays Q, so it
+    is T; the trees other than T that display Q minus q are exactly
+    those that miss q alone. So q's witness, when no edge is left loose,
+    is the first tree in stream order whose only miss is q, and a
+    quartet with no such tree is redundant: every edge of T is pinned
+    without it, and T is the only binary tree left. On at most
+    _INDEX_LEAVES leaves, where the cap admits the binary scan, the
+    index gives each such tree directly. Past that, a removal is first
+    settled as redundant when, in the closure of the rest, the quartets
+    holding one leaf pin every edge of T, and the quartets still open
+    share one walk that follows trees missing at most one of them.
 
     The per-quartet checks are _removal_witnesses, which run_search's
     strip shares. mode picks only how definitiveness is decided: in both
-    modes the removal witnesses come from the edge check, the closure and
-    the pruned walk under the binary cap, and
-    TestMinimalityAgainstTheOracle checks them against the oracle.
+    modes the removal witnesses come from the fast checks under the
+    binary cap, and TestMinimalityAgainstTheOracle checks them against
+    the oracle.
     """
     verdict = defines(qs, mode=mode, cap=cap)
     size = len(qs)
@@ -668,17 +744,22 @@ def _removal_witnesses(
     """The removal witness of quartets[i] for each i in indices, by index.
 
     quartets are sorted, indexed against tree's leaves, and define tree.
-    This is the one removal check, in three steps: an edge of tree that
-    the rest leaves unpinned; the closure of the rest pinning every edge
-    from one leaf, which makes quartets[i] redundant; and one pending
-    _binary_walk for the indices still open. An index's witness depends
-    only on the quartets, so asking for fewer indices gives the same
-    witnesses for those: minimality_report asks for every index, the
-    strip in run_search for one.
+    This is the one removal check. Its first step fixes the witness
+    kind: an edge of tree that the rest leaves unpinned. On at most
+    _INDEX_LEAVES leaves, where the cap admits the binary scan, the
+    index then gives each remaining index its first tree missing
+    quartets[i] alone, or marks it redundant. Past that, or under a
+    smaller cap, the closure of the rest pinning every edge from one
+    leaf makes quartets[i] redundant, and one pending _binary_walk,
+    refused past the cap, settles the indices still open. An index's
+    witness depends only on the quartets, so asking for fewer indices
+    gives the same witnesses for those: minimality_report asks for every
+    index, the strip in run_search for one.
     """
     n = tree.n
     masks = tree.masks
     pairs = [q.pair_masks() for q in quartets]
+    indexed = _indexed(n, cap)
     witnesses: dict[int, RemovalWitness] = {}
     pending = []
     for i in indices:
@@ -688,14 +769,19 @@ def _removal_witnesses(
             split = Split(min(loose), n)
             witnesses[i] = RemovalWitness("undistinguished_edge", split=split)
             continue
-        closed = _close_pairs(rest_pairs)
-        if any(
-            not _undistinguished_masks(masks, _holding(closed, x)) for x in range(n)
-        ):
-            witnesses[i] = RemovalWitness("redundant")
-        else:
-            pending.append(i)
-    if pending:
+        if not indexed:
+            closed = _close_pairs(rest_pairs)
+            if any(
+                not _undistinguished_masks(masks, _holding(closed, x)) for x in range(n)
+            ):
+                witnesses[i] = RemovalWitness("redundant")
+                continue
+        pending.append(i)
+    if not pending:
+        return witnesses
+    if indexed:
+        alternatives = dict(_index(n).first_misses(pairs, pending))
+    else:
         _check_scan(
             n,
             cap,
@@ -703,13 +789,13 @@ def _removal_witnesses(
             f"quartets on {n} leaves need the binary scan, which refuses them",
         )
         alternatives = dict(_binary_walk(quartets, n, pending))
-        for i in pending:
-            found = alternatives.get(i)
-            witnesses[i] = (
-                RemovalWitness("alternative_tree", tree=PhyloTree(tree.leaves, found))
-                if found is not None
-                else RemovalWitness("redundant")
-            )
+    for i in pending:
+        found = alternatives.get(i)
+        witnesses[i] = (
+            RemovalWitness("alternative_tree", tree=PhyloTree(tree.leaves, found))
+            if found is not None
+            else RemovalWitness("redundant")
+        )
     return witnesses
 
 

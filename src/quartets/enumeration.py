@@ -55,6 +55,8 @@ def _check_mode(mode: str) -> None:
 
 
 def _check_size(n: int, mode: str, cap: int | None) -> None:
+    if cap is not None and cap < 3:
+        raise QuartetError(f"cap must be at least 3 leaves, got {cap}")
     if n < 3:
         raise TooFewLeavesError("enumeration needs at least 3 leaves")
     if n > MAX_LEAVES:

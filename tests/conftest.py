@@ -41,6 +41,13 @@ def no_scan(monkeypatch):
     monkeypatch.setattr(decide, "_binary_walk", refuse_scan)
 
 
+@pytest.fixture
+def no_index(monkeypatch):
+    """Turn the index route off, so that sets on up to eight leaves go
+    through the closure certificate and the walk, as larger ones do."""
+    monkeypatch.setattr(decide, "_INDEX_LEAVES", 3)
+
+
 def quartet_set_from_indices(leaves: LeafSet, index_rows) -> QuartetSet:
     qs = frozenset(normalized_quartet(*row) for row in index_rows)
     return QuartetSet(leaves, qs)

@@ -121,6 +121,24 @@ class TestCheck:
         payload = json.loads(out.stdout)
         assert payload["defines"] is True and payload["minimal"] is True
 
+    def test_a_cap_below_the_leaves_refuses_the_witness_scan(self):
+        # a cap below seven turns the index route off, so q7's last two
+        # witnesses need the scan, which the cap refuses
+        out = run("check", "--quartets", Q7, "--cap", "6")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == (
+            "error: the minimality witnesses for 2 of 6 quartets on 7 leaves need "
+            "the binary scan, which refuses them: 7 leaves exceeds the enumeration "
+            "cap 6 for mode 'binary'\n"
+        )
+
+    def test_a_cap_below_three_is_refused(self):
+        out = run("check", "--quartets", Q7, "--cap", "-3")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: cap must be at least 3 leaves, got -3\n"
+
     def test_missing_file(self):
         out = run("check", "--quartets", "/nonexistent/q.txt")
         assert out.returncode == 2

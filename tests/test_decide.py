@@ -1,7 +1,7 @@
 """Definitiveness, minimality, inference: oracle and fast paths must agree."""
 
 import random
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 
 import pytest
@@ -400,9 +400,10 @@ class TestOracleFastAgreement:
         assert definitive_seen > 0
 
     @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_scan_route_agrees(self, n, monkeypatch):
-        # with the certificate declining, every set goes through the binary
-        # scan, and a sole binary displayer must have every edge pinned:
+    def test_scan_route_agrees(self, n, monkeypatch, no_index):
+        # with the index off and the certificate declining, every set goes
+        # through the binary scan, and a sole binary displayer must have every
+        # edge pinned:
         # a loose edge would contract to a second, non-binary displayer
         walk = decide._binary_walk
         sole = []
@@ -625,7 +626,7 @@ class TestClosureCertificate:
             assert v.is_definitive and v.tree == caterpillar(n)
 
     @pytest.mark.parametrize("n", [8, 12, 20])
-    def test_redundancy_is_settled_without_a_scan(self, n, no_scan):
+    def test_redundancy_is_settled_without_a_scan(self, n, no_scan, no_index):
         # every quartet the closure adds to the construction is redundant
         qs = inference_closure(minimal_definitive_set(n))
         report = minimality_report(qs)
@@ -781,7 +782,8 @@ def _data(name):
 
 class TestWalkSize:
     """How many trees the binary walk builds, pinned so that a pruning
-    regression fails here instead of only running slower."""
+    regression fails here instead of only running slower. The index route
+    is off, so that the sets on up to eight leaves reach the walk too."""
 
     @pytest.mark.parametrize(
         "call, qs, built",
@@ -810,7 +812,7 @@ class TestWalkSize:
             "report-8", "report-12", "report-q6", "report-q7", "search-8-6-50",
         ],
     )
-    def test_children_built(self, call, qs, built, monkeypatch):
+    def test_children_built(self, call, qs, built, monkeypatch, no_index):
         sizes = []
         real = decide._insert
 
@@ -877,71 +879,96 @@ class TestPendingWalk:
         assert witnessed and unwitnessed
 
 
-class TestNodeTable:
-    """The walk's table of the binary trees on at most _TABLE_LEAVES
-    leaves changes no answer: a record's edges and regions depend only on
-    its tree and the S* masks asked about, never on the walk that filled
-    them."""
+class TestIndex:
+    """The index that decides sets on up to eight leaves, checked against
+    the unpruned binary stream and against the route it replaces there."""
 
-    def test_yields_do_not_depend_on_the_table(self, monkeypatch):
-        streams = {n: list(_stream_masks(n, "binary")) for n in range(5, 9)}
-        cases = []
-        for n, quartets, pending in _sampled_walks(16, 120, streams):
+    def test_decodes_every_stream_position(self):
+        for n in range(4, 9):
+            stream = list(_stream_masks(n, "binary"))
+            index = decide._index(n)
+            assert index.every == (1 << len(stream)) - 1
+            step = 97 if n == 8 else 1
+            for t in range(0, len(stream), step):
+                assert index.tree(t) == stream[t]
+
+    @staticmethod
+    def _cases():
+        """Sampled sets on 4-8 leaves with their displayers and first
+        misses, both read off the unpruned binary stream."""
+        streams = {n: list(_stream_masks(n, "binary")) for n in range(4, 9)}
+        for n, quartets, pending in _sampled_walks(16, 150, streams):
             pairs = [q.pair_masks() for q in quartets]
-            shown = [(None, m) for m in streams[n] if _displays_masks(m, pairs)]
+            shown = [m for m in streams[n] if _displays_masks(m, pairs)]
             misses = _first_misses(streams[n], quartets, pending)
-            cases.append((n, quartets, pending, misses, shown))
-        # an emptied table, the same table filled, and one that stops at 5
-        # leaves, so that tabled and untabled nodes meet in each walk
-        monkeypatch.setattr(decide, "_NODES", {})
-        for bound in (7, 7, 5):
-            monkeypatch.setattr(decide, "_TABLE_LEAVES", bound)
-            for n, quartets, pending, misses, shown in cases:
-                assert list(decide._binary_walk(quartets, n, pending)) == misses
-                assert list(decide._binary_walk(quartets, n)) == shown
-        assert any(misses for *_, misses, _ in cases)
-        assert any(len(shown) == 1 for *_, shown in cases)
-        assert any(len(shown) > 1 for *_, shown in cases)
-        assert any(not shown for *_, shown in cases)
+            yield n, pairs, pending, shown, misses
 
-    def test_holds_only_the_small_trees(self, monkeypatch):
-        monkeypatch.setattr(decide, "_NODES", {})
-        for n in range(5, 13):
-            minimality_report(minimal_definitive_set(n))
-            if n >= 10:
-                minimality_report(_swap15(minimal_definitive_set(n)))
-        table = decide._NODES
-        assert 0 < len(table) <= 1069
-        for splits, (edges, regions) in table.items():
-            k = len(splits) + 3  # a binary tree on leaves 0..k-1
-            assert k <= 7
-            assert edges == enumeration._edges(splits, k)
-            full = (1 << k) - 1
-            for out, region in regions.items():
-                # the edges with a side inside S*, the leaves not in out
-                inside = [not u & out or not (full ^ u) & out for u in edges]
-                assert region == sum(1 << j for j, ok in enumerate(inside) if ok)
+    @staticmethod
+    def _answers(n, pairs, pending):
+        index = decide._index(n)
+        every = index.every.bit_length()  # no limit: every tree on n leaves
+        return index.displayers(pairs, every), index.first_misses(pairs, pending)
 
-    def test_a_repeated_search_fills_nothing(self, monkeypatch):
-        monkeypatch.setattr(decide, "_NODES", {})
-        regions = []
-        real = decide._region
+    def test_matches_the_unpruned_stream(self):
+        cases = list(self._cases())
+        for n, pairs, pending, shown, misses in cases:
+            assert self._answers(n, pairs, pending) == (shown, misses)
+        assert {n for n, *_ in cases} == set(range(4, 9))
+        assert any(misses for *_, misses in cases)
+        assert any(len(shown) == 1 for *_, shown, _ in cases)
+        assert any(len(shown) > 1 for *_, shown, _ in cases)
+        assert any(not shown for *_, shown, _ in cases)
 
-        def counting(*args):
-            regions.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(decide, "_region", counting)
-        added = []
-        found = []
+    def test_answers_do_not_depend_on_the_index(self, monkeypatch):
+        # a quartet's row depends only on n and the quartet, so an emptied
+        # index, the same index filled, and one with half its rows dropped
+        # answer alike
+        cases = list(self._cases())
+        fresh = lru_cache(maxsize=None)(decide._Index)
+        monkeypatch.setattr(decide, "_index", fresh)
         for _ in range(2):
-            before = (len(decide._NODES), len(regions))
-            found.append(run_search(8, 6, 50, seed=1))
-            added.append((len(decide._NODES) - before[0], len(regions) - before[1]))
-        assert found[0] == found[1]
-        # pinned like TestWalkSize's trees built: the first search fills 925
-        # of the 1,069 records and computes 5,882 regions, the second none
-        assert added == [(925, 5882), (0, 0)]
+            for n, pairs, pending, shown, misses in cases:
+                assert self._answers(n, pairs, pending) == (shown, misses)
+        for n in range(4, 9):
+            rows = fresh(n).rows
+            for pair in list(rows)[::2]:
+                del rows[pair]
+        for n, pairs, pending, shown, misses in cases:
+            assert self._answers(n, pairs, pending) == (shown, misses)
+
+    @staticmethod
+    def _route_inputs():
+        """Both example sets, the 8-leaf construction and each of its
+        quartets dropped, search findings on 8 leaves, and random sets."""
+        yield _data("q6.txt")
+        yield _data("q7.txt")
+        qs = minimal_definitive_set(8)
+        yield qs
+        for q in qs.sorted_quartets():
+            yield qs.without_quartet(q)
+        for f in run_search(8, 6, 20, seed=2):
+            yield f.quartets
+        for n in (5, 6, 7):
+            yield from islice(_random_sets(n), 40)
+
+    def test_route_on_and_off_agree(self, monkeypatch):
+        inputs = list(self._route_inputs())
+        wider = integer_leaves(8)
+        larger = [_data("q6.txt"), _data("q7.txt")]
+
+        def answers():
+            return (
+                [(defines(qs), minimality_report(qs)) for qs in inputs],
+                [defines(qs, wider, allow_larger_ambient=True) for qs in larger],
+            )
+
+        on = answers()
+        monkeypatch.setattr(decide, "_INDEX_LEAVES", 3)
+        assert answers() == on
+        kinds = {w.kind for _, report in on[0] for _, w in report.entries}
+        assert kinds == {"undistinguished_edge", "alternative_tree", "redundant"}
+        statuses = {v.status for v, _ in on[0]} | {v.status for v in on[1]}
+        assert statuses == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
 
 
 class TestRemovalWitnesses:
@@ -1068,6 +1095,37 @@ class TestScanCap:
         message = str(info.value)
         assert "closure certificate did not settle" in message
         assert "cap 12" in message
+
+    def test_a_cap_below_n_keeps_the_certificate_route(self, monkeypatch):
+        # the index stands for the binary scan, so a cap that refuses the
+        # scan turns it off: the certificate answers, as on larger sets
+        calls = []
+        real = decide._closure_certificate
+
+        def counting(qs):
+            calls.append(qs)
+            return real(qs)
+
+        def refuse(n):
+            raise AssertionError("the index answered past the cap")
+
+        monkeypatch.setattr(decide, "_closure_certificate", counting)
+        monkeypatch.setattr(decide, "_index", refuse)
+        v = defines(minimal_definitive_set(8), cap=7)
+        assert v.status == DEFINES and v.tree == caterpillar(8)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cap", [-3, 0, 2])
+    def test_a_cap_below_three_is_refused(self, cap):
+        for call in (
+            partial(defines, minimal_definitive_set(6)),
+            partial(minimality_report, _data("q7.txt")),
+            partial(enumeration.enumerate_trees, 5),
+        ):
+            with pytest.raises(QuartetError) as info:
+                call(cap=cap)
+            assert type(info.value) is QuartetError
+            assert str(info.value) == f"cap must be at least 3 leaves, got {cap}"
 
     def test_displayers_refuse_before_the_first_tree(self):
         with pytest.raises(TooManyLeavesError):

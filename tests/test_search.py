@@ -4,6 +4,7 @@ The search reports a stripped set on its strip's removal checks alone, so
 these tests decide the findings again, by the oracle where it runs."""
 
 import hashlib
+from functools import lru_cache
 
 import pytest
 
@@ -66,12 +67,13 @@ class TestRunSearch:
             "f5f6b9828cae78f825aeb6202a997a0fe9017b1ea4200353f0593bcc36db03be"
         )
 
-    def test_each_set_is_decided_once(self, monkeypatch):
+    def test_each_set_is_decided_once(self, monkeypatch, no_index):
         # the strip asks the removal check, not defines, and a stripped set
         # is not decided again; re-validating each stripped set that can
         # still be reported costs 259 reports and 259 certificates, and
         # re-validating every stripped set or re-deciding each drop with
-        # defines 283 reports and 394 certificates
+        # defines 283 reports and 394 certificates. The index route is off,
+        # so that each report goes through the certificate
         calls = {"report": 0, "certificate": 0}
 
         def counted(name, real):
@@ -86,6 +88,24 @@ class TestRunSearch:
         )
         run_search(8, target_size=6, budget=50, seed=1)
         assert calls == {"report": 235, "certificate": 235}
+
+    def test_eight_leaves_read_only_the_index(self, monkeypatch):
+        # with the index route on, no 8-leaf set reaches the certificate or
+        # the walk, the index is built once, and the findings are those of
+        # the route it replaces
+        with monkeypatch.context() as patch:
+            patch.setattr(decide, "_INDEX_LEAVES", 3)
+            routed_off = run_search(8, target_size=6, budget=50, seed=1)
+        def refuse(*args):
+            raise AssertionError("an 8-leaf set left the index route")
+
+        monkeypatch.setattr(decide, "_closure_certificate", refuse)
+        monkeypatch.setattr(decide, "_binary_walk", refuse)
+        fresh = lru_cache(maxsize=None)(decide._Index)
+        monkeypatch.setattr(decide, "_index", fresh)
+        assert run_search(8, target_size=6, budget=50, seed=1) == routed_off
+        info = fresh.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     def test_deterministic_for_a_seed(self):
         a = run_search(6, target_size=4, budget=300, seed=11)
