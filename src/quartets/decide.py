@@ -93,7 +93,15 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator, Literal
 
-from .enumeration import _check_mode, _check_size, _edges, _insert, _stream_masks, Mode
+from .enumeration import (
+    _check_cap,
+    _check_mode,
+    _check_size,
+    _edges,
+    _insert,
+    _stream_masks,
+    Mode,
+)
 from .errors import (
     AmbientMismatchError,
     QuartetError,
@@ -654,12 +662,14 @@ def defines(
     scan on n leaves; otherwise it tries the closure certificate, then
     falls back on the binary scan, stopping at two displayers. The module
     docstring says why each is exact. cap bounds the scans and the index
-    only: a set the certificate settles is answered at any size. Every
+    only: a set the certificate settles is answered at any size. A cap
+    below 3 is refused on entry, whatever the route. Every
     route hands up to two displayers to one tail, which turns them into
     the verdict.
     """
     if mode not in ("fast", "oracle"):
         raise QuartetError(f"mode must be 'fast' or 'oracle', got {mode!r}")
+    _check_cap(cap)
     moved, ambient = _resolve_ambient(qs, leaves, allow_larger_ambient)
     n = ambient.n
     if mode == "oracle":
@@ -719,11 +729,12 @@ def minimality_report(
     holding one leaf pin every edge of T, and the quartets still open
     share one walk that follows trees missing at most one of them.
 
-    The per-quartet checks are _removal_witnesses, which run_search's
-    strip shares. mode picks only how definitiveness is decided: in both
-    modes the removal witnesses come from the fast checks under the
-    binary cap, and TestMinimalityAgainstTheOracle checks them against
-    the oracle.
+    defines decides the set first, and refuses a cap below 3 before any
+    route runs. The per-quartet checks are _removal_witnesses, which
+    run_search's strip shares. mode picks only how definitiveness is
+    decided: in both modes the removal witnesses come from the fast
+    checks under the binary cap, and TestMinimalityAgainstTheOracle
+    checks them against the oracle.
     """
     verdict = defines(qs, mode=mode, cap=cap)
     size = len(qs)

@@ -54,9 +54,13 @@ def _check_mode(mode: str) -> None:
         raise QuartetError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _check_size(n: int, mode: str, cap: int | None) -> None:
+def _check_cap(cap: int | None) -> None:
     if cap is not None and cap < 3:
         raise QuartetError(f"cap must be at least 3 leaves, got {cap}")
+
+
+def _check_size(n: int, mode: str, cap: int | None) -> None:
+    _check_cap(cap)
     if n < 3:
         raise TooFewLeavesError("enumeration needs at least 3 leaves")
     if n > MAX_LEAVES:

@@ -3,14 +3,17 @@
 Reading takes the usual rooted nesting, ignores branch lengths (each must
 still read as a number), rejects interior labels, and keeps only the leaf
 clusters; degree-2 vertices (including a degree-2 root) vanish on their
-own because equal clusters collapse into one split. Like writing, it
-refuses a tree on fewer than three leaves.
+own because equal clusters collapse into one split. It walks the nesting
+with an explicit stack of open clusters, so any depth reads. Like
+writing, it refuses a tree on fewer than three leaves.
 
 Writing roots the tree at the vertex next to leaf 0. The split masks,
-each the side without leaf 0, nest as the clusters below that root, and
-one descent over them writes children in order of their smallest leaf,
-so every tree has exactly one rendering and reading it back returns the
-identical value. The masks must be pairwise compatible, which
+each the side without leaf 0, nest as the clusters below that root. One
+pass writes them smallest first: a cluster's parts are the leaves and
+the clusters already written directly inside it, each named by its
+smallest leaf, and they are written in that order. Every edge is visited
+once, every tree has exactly one rendering, and reading it back returns
+the identical value. The masks must be pairwise compatible, which
 tree_from_splits checks and every tree built in this package satisfies.
 """
 
@@ -25,7 +28,8 @@ from .model import LeafSet, PhyloTree, _canonical, _move_mask
 # exactly the characters for which str.isspace() is true
 _BAD_LABEL_CHAR = re.compile(r"[():,;|#\s]")
 
-_LENGTH_CHARS = set("0123456789.+-eE")
+_SPACE = re.compile(r"\s*")
+_LENGTH = re.compile(r"[0-9.+\-eE]*")
 
 
 def parse_newick(text: str) -> PhyloTree:
@@ -38,70 +42,64 @@ def parse_newick(text: str) -> PhyloTree:
     end = len(text)
     labels: list[str] = []
     clusters: list[int] = []  # bit masks over label-appearance order
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < end and text[pos].isspace():
-            pos += 1
-
-    def skip_length() -> None:
-        nonlocal pos
-        skip_ws()
-        if pos < end and text[pos] == ":":
-            pos += 1
-            skip_ws()
-            start = pos
-            while pos < end and text[pos] in _LENGTH_CHARS:
-                pos += 1
-            try:
-                float(text[start:pos])
-            except ValueError:
-                raise ParseError(
-                    "expected a numeric branch length after ':'", position=start
-                ) from None
-
-    def parse_subtree() -> int:
-        nonlocal pos
-        skip_ws()
+    nest: list[int] = []  # the leaves read so far under each open '('
+    # whitespace is rare, so each skip over it first tests one character
+    while True:
+        # a subtree starts at pos
+        if text[pos:pos + 1].isspace():
+            pos = _SPACE.match(text, pos).end()
         if pos >= end:
             raise ParseError("unexpected end of input", position=pos)
         if text[pos] == "(":
+            nest.append(0)
             pos += 1
-            below = parse_subtree()
-            skip_ws()
-            while pos < end and text[pos] == ",":
-                pos += 1
-                below |= parse_subtree()
-                skip_ws()
-            if pos >= end or text[pos] != ")":
-                raise ParseError("expected ')' or ','", position=pos)
-            pos += 1
-            skip_ws()
-            if pos < end and text[pos] not in ":,();":
-                raise InteriorLabelError(
-                    "labels on interior vertices are not supported", position=pos
-                )
-            skip_length()
-            clusters.append(below)
-            return below
+            continue
         start = pos
         stop = _BAD_LABEL_CHAR.search(text, pos)
         pos = stop.start() if stop else end
         if pos == start:
             raise ParseError("expected a leaf label", position=pos)
         labels.append(text[start:pos])
-        skip_length()
-        return 1 << (len(labels) - 1)
-
-    root = parse_subtree()
-    skip_ws()
+        below = 1 << (len(labels) - 1)
+        # the subtree below ends at pos: read its length, then close every
+        # cluster that ends with it, until a ',' opens the next subtree
+        while True:
+            if text[pos:pos + 1].isspace():
+                pos = _SPACE.match(text, pos).end()
+            if pos < end and text[pos] == ":":
+                start = _SPACE.match(text, pos + 1).end()
+                pos = _LENGTH.match(text, start).end()
+                try:
+                    float(text[start:pos])
+                except ValueError:
+                    raise ParseError(
+                        "expected a numeric branch length after ':'", position=start
+                    ) from None
+                pos = _SPACE.match(text, pos).end()
+            if not nest:
+                break
+            nest[-1] |= below
+            if pos < end and text[pos] == ",":
+                pos += 1
+                break
+            if pos >= end or text[pos] != ")":
+                raise ParseError("expected ')' or ','", position=pos)
+            pos += 1
+            if text[pos:pos + 1].isspace():
+                pos = _SPACE.match(text, pos).end()
+            if pos < end and text[pos] not in ":,();":
+                raise InteriorLabelError(
+                    "labels on interior vertices are not supported", position=pos
+                )
+            below = nest.pop()
+            clusters.append(below)
+        if not nest:
+            break
     if pos >= end or text[pos] != ";":
         raise ParseError("expected ';'", position=pos)
-    pos += 1
-    skip_ws()
+    pos = _SPACE.match(text, pos + 1).end()
     if pos != end:
         raise ParseError("trailing text after ';'", position=pos)
-    del root
     leaves = LeafSet.from_labels(labels)
     n = leaves.n
     if n < 3:
@@ -128,23 +126,21 @@ def serialize_newick(tree: PhyloTree) -> str:
         for label in leaves.labels:
             if _BAD_LABEL_CHAR.search(label):
                 raise QuartetError(f"label {label!r} cannot be written in this format")
-    # largest first, so the first split found inside a cluster that holds
-    # a given leaf is the child of that cluster on the leaf's side
-    order = sorted(tree.masks, key=int.bit_count, reverse=True)
-
-    def render(cluster: int) -> str:
+    # smallest first, so every cluster inside m is written before m, and
+    # the root, the full mask, last; reps holds the smallest leaf of each
+    # part written so far, and a written cluster's text sits at the slot
+    # of its smallest leaf
+    full = leaves.full_mask()
+    piece = list(leaves.labels)
+    reps = full
+    for m in sorted(tree.masks, key=int.bit_count) + [full]:
         parts = []
-        rest = cluster
+        rest = m & reps
         while rest:
             low = rest & -rest
-            for m in order:
-                if m & low and m != cluster and m & ~cluster == 0:
-                    parts.append(render(m))
-                    rest &= ~m
-                    break
-            else:
-                parts.append(leaves.labels[low.bit_length() - 1])
-                rest ^= low
-        return "(" + ",".join(parts) + ")"
-
-    return render(leaves.full_mask()) + ";"
+            parts.append(piece[low.bit_length() - 1])
+            rest ^= low
+        low = m & -m
+        piece[low.bit_length() - 1] = "(" + ",".join(parts) + ")"
+        reps = reps & ~m | low
+    return piece[0] + ";"

@@ -116,3 +116,34 @@ def reference_displayers(
         for splits in split_systems(n)
         if all(shows(splits, *q) for q in quartets)
     ]
+
+
+def reference_newick(labels: list[str], sides) -> str:
+    """Newick text of a tree, written by plain recursion over its splits.
+
+    labels lists the leaves in index order, and each split is given by
+    the labels of one side. The tree is rooted at the vertex next to
+    labels[0], so each split becomes its side without labels[0], a
+    cluster. A part's parent is the smallest cluster strictly containing
+    it, or the root, and children are written in order of their smallest
+    index.
+    """
+    index = {label: i for i, label in enumerate(labels)}
+    everyone = frozenset(index.values())
+    clusters = set()
+    for side in sides:
+        s = frozenset(index[x] for x in side)
+        clusters.add(everyone - s if 0 in s else s)
+    children: dict[frozenset[int], list[frozenset[int]]] = {
+        c: [] for c in clusters | {everyone}
+    }
+    for part in list(clusters) + [frozenset([v]) for v in everyone]:
+        parent = min((c for c in clusters if part < c), key=len, default=everyone)
+        children[parent].append(part)
+
+    def write(part: frozenset[int]) -> str:
+        if len(part) == 1:
+            return labels[min(part)]
+        return "(" + ",".join(write(c) for c in sorted(children[part], key=min)) + ")"
+
+    return write(everyone) + ";"

@@ -1117,9 +1117,12 @@ class TestScanCap:
 
     @pytest.mark.parametrize("cap", [-3, 0, 2])
     def test_a_cap_below_three_is_refused(self, cap):
+        # the 9-leaf set is settled by the certificate, which needs no cap
         for call in (
             partial(defines, minimal_definitive_set(6)),
+            partial(defines, minimal_definitive_set(9)),
             partial(minimality_report, _data("q7.txt")),
+            partial(minimality_report, minimal_definitive_set(9)),
             partial(enumeration.enumerate_trees, 5),
         ):
             with pytest.raises(QuartetError) as info:

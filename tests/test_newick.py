@@ -1,9 +1,12 @@
 """Newick reading and writing; writing is canonical, reading is liberal."""
 
 import hashlib
+import random
 import re
+from string import ascii_lowercase
 
 import pytest
+from oracles import reference_newick
 
 from quartets import (
     DuplicateLeafError,
@@ -161,6 +164,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_newick("(1,2,(3,4))")
 
+    def test_any_depth_of_nesting(self):
+        text = "(" * 5000 + "a,b,c" + ")" * 5000 + ";"
+        star = PhyloTree(LeafSet.from_labels(["a", "b", "c"]), frozenset())
+        assert parse_newick(text) == star
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as info:
             parse_newick("(1,2,(3,4)); junk")
@@ -173,6 +181,36 @@ class TestRoundTrip:
     def test_every_small_tree_survives(self, n, mode):
         for tree in enumerate_trees(n, mode):
             assert parse_newick(serialize_newick(tree)) == tree
+
+    def test_random_trees_match_the_reference_writer(self):
+        # binary trees by merging two random parts until three are left,
+        # every other one with a random share of its edges contracted
+        rng = random.Random(25)
+        contracted = 0
+        for i in range(200):
+            n = rng.randint(4, 64)
+            names = set()
+            while len(names) < n:
+                names.add("".join(rng.choices(ascii_lowercase, k=rng.randint(1, 4))))
+            names = sorted(names)
+            parts = [[x] for x in names]
+            sides = []
+            while len(parts) > 3:
+                a, b = sorted(rng.sample(range(len(parts)), 2))
+                merged = parts.pop(b) + parts.pop(a)
+                parts.append(merged)
+                sides.append(merged)
+            if i % 2:
+                keep = rng.random()
+                kept = [side for side in sides if rng.random() < keep]
+                contracted += len(kept) < len(sides)
+                sides = kept
+            leaves = LeafSet.from_labels(rng.sample(names, n))
+            tree = tree_from_splits(leaves, [Split.from_side(leaves, s) for s in sides])
+            text = serialize_newick(tree)
+            assert text == reference_newick(list(leaves.labels), sides)
+            assert parse_newick(text) == tree
+        assert contracted > 50
 
     def test_serialization_is_stable(self, t6):
         once = serialize_newick(t6)
