@@ -71,23 +71,26 @@ q is redundant when there is none. The index reads it directly: the
 lowest set bit of the AND of the other rows with q's row cleared. Past
 the index, q is first marked redundant without a scan when, in the
 closure of Q minus q, the quartets holding one leaf pin every edge of T:
-by the theorem above they define T. The rest share one walk of the
-binary stream that follows trees missing at most one of them. The scan
-cap bounds only the scans, and the index, which stands for one.
+by the theorem above they define T. The rest get one walk per open
+quartet: q's witness is the first tree of the binary walk over Q minus
+q that does not display q. The scan cap bounds only the scans, and the
+index, which stands for one.
 
 _binary_walk, decide's only walk, serves the fast route past the index:
-the scan and the minimality witnesses. It prunes before it builds: leaf
-k goes only into edges where the child displays the quartets whose
-largest leaf is k. It also looks ahead: a tree is dropped as soon as
-some later leaf w has no edge admitting every quartet xy|zw whose x, y
-and z are placed, since every tree grown from it hangs w on one of its
-edges. Its docstring gives both arguments. The oracle, displayers and
+the scan, and one walk per open quartet for the minimality witnesses.
+It prunes before it builds: leaf k goes only into edges where the child
+displays the quartets whose largest leaf is k, and, at the level of the
+largest leaf of a quartet to avoid, only into edges where it does not.
+It also looks ahead: a tree is dropped as soon as some later leaf w has
+no edge admitting every quartet xy|zw whose x, y and z are placed,
+since every tree grown from it hangs w on one of its edges. Its
+docstring gives both arguments. The oracle, displayers and
 semantic_infers read the filtered enumeration stream instead.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -212,13 +215,11 @@ def _admissible(edges: list[int], splits: tuple[int, ...], k: int, tests) -> lis
     return edges
 
 
-_TWO_MISSES = -1
-
-
 def _binary_walk(
-    quartets: list[Quartet], n: int, pending: Iterable[int] = ()
-) -> Iterator[tuple[int | None, tuple[int, ...]]]:
-    """Finished binary trees on leaves 0..n-1 as (miss, masks), in stream order.
+    quartets: list[Quartet], n: int, avoid: Quartet | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Finished binary trees on leaves 0..n-1 as masks, in stream order:
+    those displaying every quartet, and not avoid when it is given.
 
     A depth-first walk of the binary stream that prunes before it builds:
     leaf k goes only into edges where the child displays the quartets
@@ -232,7 +233,9 @@ def _binary_walk(
     y, z, k induce xk|yz or yk|xz. Insertions never change the topology
     induced on existing leaves, so a quartet's status is frozen once its
     last leaf is in, and pruning drops no displayer, admits no extra one,
-    and keeps the survivors in stream order.
+    and keeps the survivors in stream order. At the level of avoid's
+    largest leaf the walk keeps the other edges instead: those whose
+    child does not display avoid.
 
     It also looks ahead. Restricting any tree grown from a node to the
     node's leaves plus a later leaf w gives the node's tree with w hung on
@@ -240,41 +243,20 @@ def _binary_walk(
     and z the node holds. So a node where no edge admits all of them, for
     some w, is dropped. When a leaf is inserted, an edge that admitted
     them still does, or one of its two halves does, so only a w that has
-    just gained such a quartet is checked. Only quartets that are never
-    pending take part: they prune every node, so the dropped trees would
-    yield nothing.
-
-    With nothing pending every quartet prunes, and the walk is the binary
-    scan: it yields (None, masks) for each displayer of all the quartets.
-
-    pending holds indices into quartets, and the walk yields (i, masks)
-    for the first tree in stream order that displays every quartet but
-    quartets[i], if there is one. Each node carries at most one violated
-    pending quartet, its miss. Every other quartet, and every quartet
-    below a node that already carries a miss, prunes; a child that would
-    miss two pending quartets is dropped. Trees are finished in stream
-    order, so the first finished tree whose only miss is i is i's
-    witness. Once i has one, it prunes like the rest, and the walk stops
-    when every pending quartet has one. A node with no miss that is about
-    to insert a leaf past the largest leaf of every pending quartet still
-    open can only grow into trees displaying all the quartets, and is
-    dropped too: the caller's quartets define a tree, which is no witness.
+    just gained such a quartet is checked.
     """
     if n == 3:
-        yield None, ()  # the star, the only tree on three leaves
+        yield ()  # the star, the only tree on three leaves
         return
-    open_ = set(pending)
-    levels: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    level_of = []
-    # by largest leaf w, the never-pending quartets xy|zw that are ready,
-    # x, y and z all placed, at a node before the one inserting w
+    levels: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    # by largest leaf w, the quartets xy|zw that are ready, x, y and z all
+    # placed, at a node before the one inserting w
     early: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for i, q in enumerate(quartets):
+    for q in quartets:
         k, (z, xy) = _insertion_test(q)
-        levels[k].append((i, z, xy))
-        level_of.append(k)
+        levels[k].append((z, xy))
         ready = (z | xy).bit_length()  # the first node whose tree holds x, y, z
-        if ready < k and i not in open_:
+        if ready < k:
             early[k].append((ready, z, xy))
     # the lookahead: at the node on leaves 0..k-1, for each later leaf that
     # has just gained a ready quartet, the tests of all its ready quartets
@@ -282,72 +264,29 @@ def _binary_walk(
     for tests in early.values():
         for level in {ready for ready, _, _ in tests}:
             ahead[level].append([(z, xy) for ready, z, xy in tests if ready <= level])
-    scan = not open_
-    last = max((level_of[i] for i in open_), default=n)  # a scan cuts nothing
-
-    def pruning(skip):
-        """By level, the tests of the quartets not in skip."""
-        return {
-            k: [(z, xy) for i, z, xy in here if i not in skip]
-            for k, here in levels.items()
-        }
-
-    # below a miss every quartet prunes; above one, those not still open
-    every = pruning(())
-    closed = every if scan else pruning(open_)
-    stack: list[tuple[tuple[int, ...], int, int | None]] = [((), 3, None)]
+    avoided, avoid_test = _insertion_test(avoid) if avoid is not None else (None, None)
+    stack: list[tuple[tuple[int, ...], int]] = [((), 3)]
     while stack:
-        splits, k, miss = stack.pop()
-        if miss is None:
-            if k > last:
-                continue  # nothing open is left to miss
-        elif miss not in open_:
-            continue
+        splits, k = stack.pop()
         # each lookahead group, then the tests that prune here, must leave
         # an edge
         edges = _edges(splits, k)
-        prune = (every if miss is not None else closed).get(k, ())
-        for tests in (*ahead.get(k, ()), prune):
+        for tests in (*ahead.get(k, ()), levels.get(k, ())):
             kept = _admissible(edges, splits, k, tests)
             if not kept:
                 break
         if not kept:
             continue  # some later leaf has no edge left to go into, or k has none
-        edges = kept
-        tags = [miss] * len(edges)
-        if miss is None and open_:
-            for i, z, xy in levels.get(k, ()):
-                if i not in open_:
-                    continue
-                kept = _admissible(edges, splits, k, ((z, xy),))
-                if len(kept) == len(edges):
-                    continue
-                kept = set(kept)
-                for j, u in enumerate(edges):
-                    if u not in kept:
-                        tags[j] = i if tags[j] is None else _TWO_MISSES
-            if _TWO_MISSES in tags:
-                edges = [u for u, t in zip(edges, tags) if t != _TWO_MISSES]
-                tags = [t for t in tags if t != _TWO_MISSES]
-        if k == n - 1:
-            if scan:
-                yield from zip(tags, _insert(splits, k, edges))
+        if k == avoided:
+            shown = set(_admissible(kept, splits, k, (avoid_test,)))
+            kept = [u for u in kept if u not in shown]
+            if not kept:
                 continue
-            # build only each open quartet's first witness; an untagged tree is T
-            first: dict[int, int] = {}
-            for u, tag in zip(edges, tags):
-                if tag in open_:
-                    first.setdefault(tag, u)
-            yield from zip(first, _insert(splits, k, list(first.values())))
-            open_.difference_update(first)
-            if not open_:
-                return
-            closed = pruning(open_)
-            last = max(level_of[i] for i in open_)
-            continue
-        children = _insert(splits, k, edges)
-        for child, tag in zip(reversed(children), reversed(tags)):
-            stack.append((child, k + 1, tag))
+        children = _insert(splits, k, kept)
+        if k == n - 1:
+            yield from children
+        else:
+            stack.extend((child, k + 1) for child in reversed(children))
 
 
 def _check_scan(n: int, cap: int | None, lead: str) -> None:
@@ -437,16 +376,16 @@ class _Index:
             bits ^= low
         return found
 
-    def first_misses(self, pairs, pending) -> list[tuple[int, tuple[int, ...]]]:
+    def first_misses(self, pairs, indices) -> list[tuple[int, tuple[int, ...]]]:
         """(i, masks) of the first tree that displays every quartet but
-        pairs[i], for each i in pending that has one, in stream order."""
+        pairs[i], for each i in indices that has one, in stream order."""
         rows = [self.row(pair) for pair in pairs]
         before = []  # before[i]: the trees displaying pairs[:i]
         bits = self.every
         for row in rows:
             before.append(bits)
             bits &= row
-        wanted = set(pending)
+        wanted = set(indices)
         after = self.every  # the trees displaying pairs[i + 1:]
         found = []
         for i in reversed(range(len(rows))):
@@ -689,8 +628,7 @@ def defines(
                 f"the closure certificate did not settle {len(moved)} quartets on "
                 f"{n} leaves, and the binary scan it falls back on refuses them",
             )
-            walk = _binary_walk(moved.sorted_quartets(), n)
-            found = [masks for _, masks in islice(walk, 2)]
+            found = list(islice(_binary_walk(moved.sorted_quartets(), n), 2))
     examples = tuple(PhyloTree(ambient, m) for m in found)
     if not examples:
         return DefinitivenessVerdict(INCOMPATIBLE, None, 0, (), mode)
@@ -726,8 +664,9 @@ def minimality_report(
     _INDEX_LEAVES leaves, where the cap admits the binary scan, the
     index gives each such tree directly. Past that, a removal is first
     settled as redundant when, in the closure of the rest, the quartets
-    holding one leaf pin every edge of T, and the quartets still open
-    share one walk that follows trees missing at most one of them.
+    holding one leaf pin every edge of T, and each quartet still open
+    gets one walk of its own: the first binary tree, in stream order,
+    that displays the rest and not q.
 
     defines decides the set first, and refuses a cap below 3 before any
     route runs. The per-quartet checks are _removal_witnesses, which
@@ -756,51 +695,58 @@ def _removal_witnesses(
 
     quartets are sorted, indexed against tree's leaves, and define tree.
     This is the one removal check. Its first step fixes the witness
-    kind: an edge of tree that the rest leaves unpinned. On at most
-    _INDEX_LEAVES leaves, where the cap admits the binary scan, the
-    index then gives each remaining index its first tree missing
-    quartets[i] alone, or marks it redundant. Past that, or under a
-    smaller cap, the closure of the rest pinning every edge from one
-    leaf makes quartets[i] redundant, and one pending _binary_walk,
-    refused past the cap, settles the indices still open. An index's
-    witness depends only on the quartets, so asking for fewer indices
-    gives the same witnesses for those: minimality_report asks for every
-    index, the strip in run_search for one.
+    kind: an edge of tree that the rest leaves unpinned. The quartets pin
+    every edge, so that can only be quartets[i]'s own unique separator,
+    when no other quartet pins it; one count of the quartets pinning
+    each edge serves every index. On at most _INDEX_LEAVES leaves, where
+    the cap admits the binary scan, the index then gives each remaining
+    index its first tree missing quartets[i] alone, or marks it
+    redundant. Past that, or under a smaller cap, the closure of the
+    rest pinning every edge from one leaf makes quartets[i] redundant,
+    and one walk per open quartet, refused past the cap, settles the
+    rest: the first tree of _binary_walk over the other quartets that
+    avoids quartets[i]. An index's witness depends only on the quartets,
+    so asking for fewer indices gives the same witnesses for those:
+    minimality_report asks for every index, the strip in run_search for
+    one.
     """
     n = tree.n
     masks = tree.masks
     pairs = [q.pair_masks() for q in quartets]
+    separators = [_unique_separator(masks, p1, p2) for p1, p2 in pairs]
+    pins = Counter(separators)
     indexed = _indexed(n, cap)
     witnesses: dict[int, RemovalWitness] = {}
-    pending = []
+    left = []
     for i in indices:
-        rest_pairs = pairs[:i] + pairs[i + 1 :]
-        loose = _undistinguished_masks(masks, rest_pairs)
-        if loose:
-            split = Split(min(loose), n)
-            witnesses[i] = RemovalWitness("undistinguished_edge", split=split)
+        own = separators[i]
+        if own is not None and pins[own] == 1:
+            witnesses[i] = RemovalWitness("undistinguished_edge", split=Split(own, n))
             continue
         if not indexed:
-            closed = _close_pairs(rest_pairs)
+            closed = _close_pairs(pairs[:i] + pairs[i + 1 :])
             if any(
                 not _undistinguished_masks(masks, _holding(closed, x)) for x in range(n)
             ):
                 witnesses[i] = RemovalWitness("redundant")
                 continue
-        pending.append(i)
-    if not pending:
+        left.append(i)
+    if not left:
         return witnesses
     if indexed:
-        alternatives = dict(_index(n).first_misses(pairs, pending))
+        alternatives = dict(_index(n).first_misses(pairs, left))
     else:
         _check_scan(
             n,
             cap,
-            f"the minimality witnesses for {len(pending)} of {len(quartets)} "
+            f"the minimality witnesses for {len(left)} of {len(quartets)} "
             f"quartets on {n} leaves need the binary scan, which refuses them",
         )
-        alternatives = dict(_binary_walk(quartets, n, pending))
-    for i in pending:
+        alternatives = {
+            i: next(_binary_walk(quartets[:i] + quartets[i + 1 :], n, quartets[i]), None)
+            for i in left
+        }
+    for i in left:
         found = alternatives.get(i)
         witnesses[i] = (
             RemovalWitness("alternative_tree", tree=PhyloTree(tree.leaves, found))

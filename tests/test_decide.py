@@ -1,5 +1,6 @@
 """Definitiveness, minimality, inference: oracle and fast paths must agree."""
 
+import hashlib
 import random
 from functools import lru_cache, partial
 from itertools import islice
@@ -36,6 +37,7 @@ from quartets import (
     relabel,
     run_search,
     semantic_infers,
+    serialize_newick,
     undistinguished_edges,
 )
 from quartets import decide, enumeration
@@ -411,7 +413,7 @@ class TestOracleFastAgreement:
         def recording(quartets, *rest):
             trees = list(walk(quartets, *rest))
             if len(trees) == 1:
-                sole.append((quartets, trees[0][1]))
+                sole.append((quartets, trees[0]))
             return iter(trees)
 
         monkeypatch.setattr(decide, "_closure_certificate", lambda qs: None)
@@ -540,14 +542,68 @@ class TestOracleFastAgreementPastSeven:
                     assert _assert_fast_matches_oracle(conflicting) == INCOMPATIBLE
 
 
-_LETTERS = ["a", "a1", "b", "b2", "b10", "c", "d", "e"]
+def _swap15(qs):
+    """qs with leaves "1" and "5" swapped, which the certificate cannot settle."""
+    sigma = dict(zip(qs.leaves.labels, qs.leaves.labels))
+    sigma["1"], sigma["5"] = "5", "1"
+    return relabel(qs, sigma)
+
+
+def _shuffle(n, seed):
+    """A seeded permutation of the labels "1".."n", as a relabelling map."""
+    labels = [str(i) for i in range(1, n + 1)]
+    images = list(labels)
+    random.Random(seed).shuffle(images)
+    return dict(zip(labels, images))
+
+
+def _definitive_sets(count, seed=17, least=6, most=9):
+    """Seeded sets that define a random binary tree on least..most leaves,
+    each stripped of some redundant quartets in a random order so that
+    every kind of witness turns up."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(least, most)
+        tree = _random_binary_tree(rng, n)
+        chosen = set()
+        for _ in range(rng.randint(n - 2, 2 * n)):
+            four = rng.sample(range(n), 4)
+            chosen.update(q for q in _resolutions(four) if displays(tree, q))
+        qs = QuartetSet(tree.leaves, frozenset(chosen))
+        if defines(qs).tree != tree:
+            continue
+        order = qs.sorted_quartets()
+        rng.shuffle(order)
+        for q in order[: len(order) // 2]:
+            if defines(qs.without_quartet(q)).tree == tree:
+                qs = qs.without_quartet(q)
+        yield qs, tree
+        count -= 1
+
+
+_LETTERS = ["a", "a1", "b", "b2", "b10", "c", "c3", "d", "e", "e20", "f"]
+
+
+def _witness_kinds(report, sigma=None):
+    """Each entry's witness kind by its quartet, as two label pairs with
+    the labels mapped through sigma when it is given."""
+    sigma = sigma or {}
+    labels = [sigma.get(x, x) for x in report.verdict.tree.leaves.labels]
+    kinds = {}
+    for q, w in report.entries:
+        pairs = (labels[q.a], labels[q.b]), (labels[q.c], labels[q.d])
+        kinds[frozenset(map(frozenset, pairs))] = w.kind
+    return kinds
 
 
 class TestRelabelInvariance:
+    """Past 8 leaves the certificate, the scan and the per-quartet walks
+    answer, up to 8 the index: both must follow the labels."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_verdict_and_tree_follow_the_labels(self, data):
-        n = data.draw(st.integers(5, 8), label="n")
+        n = data.draw(st.integers(5, 11), label="n")
         splits = ()
         for k in range(3, n):
             splits = data.draw(st.sampled_from(_children(splits, k, False)))
@@ -568,9 +624,31 @@ class TestRelabelInvariance:
         assert after.status == before.status
         if before.is_definitive:
             assert after.tree == relabel(before.tree, sigma)
+            # the edge check reads only the tree's shape, and redundancy is a
+            # property of the set, so no witness kind depends on the labels
+            old, new = minimality_report(qs), minimality_report(moved)
+            assert new.minimal == old.minimal
+            assert _witness_kinds(new) == _witness_kinds(old, sigma)
         if n <= 7:
             count = defines(qs, mode="oracle").displayer_count
             assert defines(moved, mode="oracle").displayer_count == count
+
+    @pytest.mark.parametrize(
+        "qs",
+        [_swap15(minimal_definitive_set(n)) for n in (9, 10, 11)]
+        + [qs for qs, _ in _definitive_sets(3, seed=17, least=9, most=11)],
+        ids=[f"swap15-{n}" for n in (9, 10, 11)] + [f"redundant-{i}" for i in (1, 2, 3)],
+    )
+    def test_reports_past_the_index_follow_the_labels(self, qs):
+        # these sets send some removals to the per-quartet walks, which the
+        # random sets above seldom reach
+        report = minimality_report(qs)
+        for seed in (1, 2):
+            sigma = _shuffle(qs.leaves.n, seed)
+            moved = minimality_report(relabel(qs, sigma))
+            assert moved.verdict.tree == relabel(report.verdict.tree, sigma)
+            assert moved.minimal == report.minimal
+            assert _witness_kinds(moved) == _witness_kinds(report, sigma)
 
 
 class TestClosureCertificate:
@@ -692,7 +770,7 @@ class TestClosureCertificate:
                 assert oracle.status != NOT_DEFINITIVE
             else:
                 walk = decide._binary_walk(qs.sorted_quartets(), n)
-                expected = [PhyloTree(qs.leaves, m) for _, m in islice(walk, 2)]
+                expected = [PhyloTree(qs.leaves, m) for m in islice(walk, 2)]
             assert [PhyloTree(qs.leaves, m) for m in settled] == expected
             settled_by_status[DEFINES if settled else INCOMPATIBLE] += 1
         assert settled_by_status == {DEFINES: 108, INCOMPATIBLE: 196}
@@ -727,15 +805,16 @@ class TestClosureCertificate:
 
 
 class TestMinimalityAgainstTheOracle:
-    """The one walk gives the witnesses the per-quartet scans gave, and
-    its redundant marks are the oracle's."""
+    """Each removal witness is the first binary tree other than the
+    defined one that the oracle's stream gives for the set minus the
+    quartet, and the redundant marks are the oracle's."""
 
     @staticmethod
     def _inputs():
         """The sets of every verdict TestClosureCertificate draws (5-8
-        leaves), then sets whose walk finds witnesses: the construction,
+        leaves), then sets with witnesses of every kind: the construction,
         search findings, and findings plus a quartet their tree displays,
-        where one walk finds some witnesses and marks others redundant."""
+        where some removals find witnesses and others are redundant."""
         yield from TestClosureCertificate._inputs()
         for n in (5, 6, 7, 8):
             yield minimal_definitive_set(n)
@@ -769,13 +848,6 @@ class TestMinimalityAgainstTheOracle:
         assert kinds == {"undistinguished_edge", "alternative_tree", "redundant"}
 
 
-def _swap15(qs):
-    """qs with leaves "1" and "5" swapped, which the certificate cannot settle."""
-    sigma = dict(zip(qs.leaves.labels, qs.leaves.labels))
-    sigma["1"], sigma["5"] = "5", "1"
-    return relabel(qs, sigma)
-
-
 def _data(name):
     return parse_quartet_file(DATA.joinpath(name).read_text())
 
@@ -791,20 +863,18 @@ class TestWalkSize:
             (defines, _swap15(minimal_definitive_set(10)), 477),
             (defines, _swap15(minimal_definitive_set(11)), 2730),
             (defines, _swap15(minimal_definitive_set(12)), 18843),
-            (minimality_report, _swap15(minimal_definitive_set(10)), 567),
-            (minimality_report, _swap15(minimal_definitive_set(11)), 2958),
-            (minimality_report, _swap15(minimal_definitive_set(12)), 19564),
-            (minimality_report, minimal_definitive_set(8), 15),
-            (minimality_report, minimal_definitive_set(12), 301),
+            # a report walks once for each quartet still open, from the
+            # 3-leaf star
+            (minimality_report, _swap15(minimal_definitive_set(10)), 609),
+            (minimality_report, _swap15(minimal_definitive_set(11)), 3025),
+            (minimality_report, _swap15(minimal_definitive_set(12)), 19663),
+            (minimality_report, minimal_definitive_set(8), 32),
+            (minimality_report, minimal_definitive_set(12), 422),
             (minimality_report, _data("q6.txt"), 5),
-            (minimality_report, _data("q7.txt"), 9),
-            # a search decides through both walks, with the seed in qs's
-            # place; without the lookahead it builds 28,639 trees, 15,087
-            # when its strip re-checks each drop with defines, 13,220 when
-            # it re-validates each stripped set it can still report, and
-            # 11,085 when the certificate passes over a binary BUILD tree
-            # that fails to display the set
-            (partial(run_search, 8, 6, 50), 1, 11060),
+            (minimality_report, _data("q7.txt"), 16),
+            # a search decides through the scan and the per-quartet walks,
+            # with the seed in qs's place
+            (partial(run_search, 8, 6, 50), 1, 12184),
         ],
         ids=[
             "defines-swap15-10", "defines-swap15-11", "defines-swap15-12",
@@ -826,19 +896,24 @@ class TestWalkSize:
         assert sum(sizes) == built
 
 
-def _first_misses(whole, quartets, pending):
-    """For each pending i, the first tree of whole that misses quartets[i]
-    and displays every other quartet, in the order of whole."""
-    pairs = [q.pair_masks() for q in quartets]
-    open_ = set(pending)
+def _two_misses(masks, pairs):
+    """The indices of the first two quartets, as pair masks, that the tree
+    does not display: fewer when it misses fewer."""
+    missed = []
+    for i, p in enumerate(pairs):
+        if not _displays_masks(masks, [p]):
+            missed.append(i)
+            if len(missed) == 2:
+                break
+    return missed
+
+
+def _first_misses(whole, misses, indices):
+    """For each i in indices, the first tree of whole that misses quartet
+    i alone, in the order of whole; misses are _two_misses of each tree."""
+    open_ = set(indices)
     found = []
-    for masks in whole:
-        missed = []
-        for i, p in enumerate(pairs):
-            if not _displays_masks(masks, [p]):
-                missed.append(i)
-                if len(missed) == 2:
-                    break
+    for masks, missed in zip(whole, misses):
         if len(missed) == 1 and missed[0] in open_:
             found.append((missed[0], masks))
             open_.remove(missed[0])
@@ -848,7 +923,7 @@ def _first_misses(whole, quartets, pending):
 
 
 def _sampled_walks(seed, count, streams):
-    """count seeded (n, quartets, pending) on the leaf counts of streams:
+    """count seeded (n, quartets, indices) on the leaf counts of streams:
     mostly quartets of one tree from the stream, some of them flipped."""
     rng = random.Random(seed)
     for _ in range(count):
@@ -860,22 +935,30 @@ def _sampled_walks(seed, count, streams):
             shown = [q for q in options if _displays_masks(source, [q.pair_masks()])]
             chosen.add(shown[0] if rng.random() < 0.9 else rng.choice(options))
         quartets = sorted(chosen)
-        pending = sorted(rng.sample(range(len(quartets)), rng.randint(1, len(quartets))))
-        yield n, quartets, pending
+        indices = sorted(rng.sample(range(len(quartets)), rng.randint(1, len(quartets))))
+        yield n, quartets, indices
 
 
-class TestPendingWalk:
-    """With pending quartets the walk yields each one's first tree that
-    misses it alone, checked against the unpruned binary stream."""
+class TestAvoidWalk:
+    """The walk over every quartet but one, avoiding that one, yields the
+    trees that miss it alone, checked against the unpruned binary
+    stream; the first of them is its removal witness."""
 
     def test_matches_the_unpruned_stream(self):
         streams = {n: list(_stream_masks(n, "binary")) for n in range(5, 9)}
         witnessed = unwitnessed = 0
-        for n, quartets, pending in _sampled_walks(15, 300, streams):
-            expected = _first_misses(streams[n], quartets, pending)
-            assert list(decide._binary_walk(quartets, n, pending)) == expected
-            witnessed += len(expected)
-            unwitnessed += len(pending) - len(expected)
+        for n, quartets, indices in _sampled_walks(15, 300, streams):
+            pairs = [q.pair_masks() for q in quartets]
+            misses = [_two_misses(masks, pairs) for masks in streams[n]]
+            first = dict(_first_misses(streams[n], misses, indices))
+            for i in indices:
+                rest = quartets[:i] + quartets[i + 1 :]
+                walked = list(decide._binary_walk(rest, n, quartets[i]))
+                alone = [m for m, missed in zip(streams[n], misses) if missed == [i]]
+                assert walked == alone
+                assert (walked[0] if walked else None) == first.get(i)
+                witnessed += bool(walked)
+                unwitnessed += not walked
         assert witnessed and unwitnessed
 
 
@@ -897,22 +980,22 @@ class TestIndex:
         """Sampled sets on 4-8 leaves with their displayers and first
         misses, both read off the unpruned binary stream."""
         streams = {n: list(_stream_masks(n, "binary")) for n in range(4, 9)}
-        for n, quartets, pending in _sampled_walks(16, 150, streams):
+        for n, quartets, indices in _sampled_walks(16, 150, streams):
             pairs = [q.pair_masks() for q in quartets]
-            shown = [m for m in streams[n] if _displays_masks(m, pairs)]
-            misses = _first_misses(streams[n], quartets, pending)
-            yield n, pairs, pending, shown, misses
+            misses = [_two_misses(masks, pairs) for masks in streams[n]]
+            shown = [m for m, missed in zip(streams[n], misses) if not missed]
+            yield n, pairs, indices, shown, _first_misses(streams[n], misses, indices)
 
     @staticmethod
-    def _answers(n, pairs, pending):
+    def _answers(n, pairs, indices):
         index = decide._index(n)
         every = index.every.bit_length()  # no limit: every tree on n leaves
-        return index.displayers(pairs, every), index.first_misses(pairs, pending)
+        return index.displayers(pairs, every), index.first_misses(pairs, indices)
 
     def test_matches_the_unpruned_stream(self):
         cases = list(self._cases())
-        for n, pairs, pending, shown, misses in cases:
-            assert self._answers(n, pairs, pending) == (shown, misses)
+        for n, pairs, indices, shown, misses in cases:
+            assert self._answers(n, pairs, indices) == (shown, misses)
         assert {n for n, *_ in cases} == set(range(4, 9))
         assert any(misses for *_, misses in cases)
         assert any(len(shown) == 1 for *_, shown, _ in cases)
@@ -927,14 +1010,14 @@ class TestIndex:
         fresh = lru_cache(maxsize=None)(decide._Index)
         monkeypatch.setattr(decide, "_index", fresh)
         for _ in range(2):
-            for n, pairs, pending, shown, misses in cases:
-                assert self._answers(n, pairs, pending) == (shown, misses)
+            for n, pairs, indices, shown, misses in cases:
+                assert self._answers(n, pairs, indices) == (shown, misses)
         for n in range(4, 9):
             rows = fresh(n).rows
             for pair in list(rows)[::2]:
                 del rows[pair]
-        for n, pairs, pending, shown, misses in cases:
-            assert self._answers(n, pairs, pending) == (shown, misses)
+        for n, pairs, indices, shown, misses in cases:
+            assert self._answers(n, pairs, indices) == (shown, misses)
 
     @staticmethod
     def _route_inputs():
@@ -975,33 +1058,9 @@ class TestRemovalWitnesses:
     """The one removal check, asked about a few quartets, answers as the
     full report does and as defines on the set minus each quartet does."""
 
-    @staticmethod
-    def _definitive_sets(count):
-        """Seeded sets that define a random binary tree on 6-9 leaves,
-        each stripped of some redundant quartets in a random order so that
-        every kind of witness turns up."""
-        rng = random.Random(17)
-        while count:
-            n = rng.randint(6, 9)
-            tree = _random_binary_tree(rng, n)
-            chosen = set()
-            for _ in range(rng.randint(n - 2, 2 * n)):
-                four = rng.sample(range(n), 4)
-                chosen.update(q for q in _resolutions(four) if displays(tree, q))
-            qs = QuartetSet(tree.leaves, frozenset(chosen))
-            if defines(qs).tree != tree:
-                continue
-            order = qs.sorted_quartets()
-            rng.shuffle(order)
-            for q in order[: len(order) // 2]:
-                if defines(qs.without_quartet(q)).tree == tree:
-                    qs = qs.without_quartet(q)
-            yield qs, tree
-            count -= 1
-
     def test_redundant_exactly_when_the_rest_defines_the_tree(self):
         kinds = set()
-        for qs, tree in self._definitive_sets(200):
+        for qs, tree in _definitive_sets(200):
             quartets = qs.sorted_quartets()
             for i, q in enumerate(quartets):
                 w = decide._removal_witnesses(quartets, tree, (i,), None)[i]
@@ -1026,6 +1085,56 @@ class TestRemovalWitnesses:
         for subset in [(i,) for i in everything] + [everything[::2], everything[1::2]]:
             expected = {i: report.entries[i][1] for i in subset}
             assert decide._removal_witnesses(quartets, tree, subset, None) == expected
+
+
+def _report_digest(reports):
+    """sha256 over each report's verdict and every entry: the quartet, the
+    witness kind, and the witness tree's Newick or the loose split."""
+    lines = []
+    for report in reports:
+        verdict = report.verdict
+        tree = verdict.tree
+        lines.append(f"{verdict.status} {serialize_newick(tree)} {report.minimal}")
+        for q, w in report.entries:
+            if w.tree is not None:
+                shown = serialize_newick(w.tree)
+            else:
+                shown = w.split.text(tree.leaves) if w.split is not None else "-"
+            lines.append(f"{q.text(tree.leaves)} {w.kind} {shown}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestReportsPastTheIndex:
+    """minimality_report on 9-12 leaves, where neither the index nor, for
+    these sets, the closure step settles every removal, pinned to the
+    bytes of its verdicts and witnesses."""
+
+    @pytest.mark.parametrize(
+        "inputs, digest",
+        [
+            (
+                lambda: [_swap15(minimal_definitive_set(n)) for n in range(9, 13)],
+                "03a21157c54e10d0bde3be3a5240d56c654a6a64ed7fc511c087dc0f01ecc80c",
+            ),
+            (
+                lambda: [
+                    relabel(minimal_definitive_set(n), _shuffle(n, seed))
+                    for n in range(9, 13)
+                    for seed in (1, 2)
+                ],
+                "fb532dd3ef817da25e160bbaac556da7f5a355bf5e9f6887ab2718651a792125",
+            ),
+            (
+                lambda: [qs for qs, _ in _definitive_sets(6, seed=17, least=9, most=11)],
+                "fe886b754ab61df3d96e4a0b9af3b6b5dd04658cce9fa6b4ff15f63519fc494f",
+            ),
+        ],
+        ids=["swapped", "shuffled", "redundant"],
+    )
+    def test_reports_are_pinned(self, inputs, digest):
+        reports = [minimality_report(qs, cap=12) for qs in inputs()]
+        assert all(r.verdict.is_definitive for r in reports)
+        assert _report_digest(reports) == digest
 
 
 def _minus_first(qs):

@@ -186,7 +186,7 @@ def test_vertex_attach_matches_a_sorted_rebuild():
 
 
 def _assert_pruned_is_filtered(qs, mode, whole):
-    """The binary walk with nothing pending and binary displayers, or for
+    """The binary walk with nothing to avoid and binary displayers, or for
     "all" the oracle, are the full stream filtered at the end, in order."""
     pairs = [q.pair_masks() for q in qs.sorted_quartets()]
     expected = [m for m in whole if _displays_masks(m, pairs)]
@@ -194,7 +194,7 @@ def _assert_pruned_is_filtered(qs, mode, whole):
         assert list(_oracle_displayers(qs, None)) == expected
     else:
         walked = list(_binary_walk(qs.sorted_quartets(), qs.leaves.n))
-        assert walked == [(None, m) for m in expected]
+        assert walked == expected
         assert [t.masks for t in displayers(qs, mode="binary")] == expected
     return len(expected)
 
