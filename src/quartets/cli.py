@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quartets", required=True, metavar="FILE")
     p.add_argument("--mode", choices=("fast", "oracle"), default="fast")
     p.add_argument("--json", action="store_true")
-    _add_cap(p, "the scans that decide the set and its removals")
+    _add_cap(p, "the scans past the 8-leaf index deciding the set and its removals")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("display", help="does a tree display one quartet")
@@ -319,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=1000, metavar="TRIALS")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    _add_cap(p, "the scans that decide each trial's set and its removals")
+    _add_cap(
+        p, "the scans past the 8-leaf index deciding each trial's set and its removals"
+    )
     p.set_defaults(func=_cmd_search)
 
     return parser

@@ -20,11 +20,10 @@ once its last leaf is in.
   least three binary refinements, and each displays everything it
   displays (Semple and Steel, Phylogenetics, 2003, ch. 6). So when
   exactly one binary tree displays Q, no other tree does, and when none
-  does, nothing does. On at most _INDEX_LEAVES = 8 leaves, where the cap
-  admits the binary scan, it reads the index below. Past that, or under
-  a smaller cap, it first tries the closure certificate below, and when
-  that does not settle Q, it scans binary trees for displayers,
-  stopping at two.
+  does, nothing does. On at most _INDEX_LEAVES = 8 leaves it reads the
+  index below, whatever the cap. Past that it first tries the closure
+  certificate below, and when that does not settle Q, it scans binary
+  trees for displayers, stopping at two.
 
 The closure certificate answers without a scan and is never wrong; it
 only sometimes declines. Q is closed under the one inference rule,
@@ -73,8 +72,8 @@ the index, q is first marked redundant without a scan when, in the
 closure of Q minus q, the quartets holding one leaf pin every edge of T:
 by the theorem above they define T. The rest get one walk per open
 quartet: q's witness is the first tree of the binary walk over Q minus
-q that does not display q. The scan cap bounds only the scans, and the
-index, which stands for one.
+q that does not display q. The scan cap bounds only these walks; the
+index is bounded by _INDEX_LEAVES alone.
 
 _binary_walk, decide's only walk, serves the fast route past the index:
 the scan, and one walk per open quartet for the minimality witnesses.
@@ -298,18 +297,6 @@ def _check_scan(n: int, cap: int | None, lead: str) -> None:
 
 
 _INDEX_LEAVES = 8
-
-
-def _indexed(n: int, cap: int | None) -> bool:
-    """Whether the fast route reads the index on n leaves: n is at most
-    _INDEX_LEAVES and the cap admits the binary scan the index stands for."""
-    if n > _INDEX_LEAVES:
-        return False
-    try:
-        _check_size(n, "binary", cap)
-    except TooManyLeavesError:
-        return False
-    return True
 
 
 class _Index:
@@ -597,14 +584,13 @@ def defines(
     every tree (no degree-2 vertices), drops each one as soon as a quartet
     whose last leaf it has inserted is not displayed, and counts the
     survivors. Fast mode reads the first two binary displayers off the
-    index on at most _INDEX_LEAVES leaves when the cap admits the binary
-    scan on n leaves; otherwise it tries the closure certificate, then
-    falls back on the binary scan, stopping at two displayers. The module
-    docstring says why each is exact. cap bounds the scans and the index
-    only: a set the certificate settles is answered at any size. A cap
-    below 3 is refused on entry, whatever the route. Every
-    route hands up to two displayers to one tail, which turns them into
-    the verdict.
+    index on at most _INDEX_LEAVES leaves, whatever the cap; past that it
+    tries the closure certificate, then falls back on the binary scan,
+    stopping at two displayers. The module docstring says why each is
+    exact. cap bounds the scans only: a set the index or the certificate
+    settles is answered at any cap. A cap below 3 is refused on entry,
+    whatever the route. Every route hands up to two displayers to one
+    tail, which turns them into the verdict.
     """
     if mode not in ("fast", "oracle"):
         raise QuartetError(f"mode must be 'fast' or 'oracle', got {mode!r}")
@@ -615,7 +601,7 @@ def defines(
         stream = _oracle_displayers(moved, cap)
         found = list(islice(stream, 2))
         count = len(found) + sum(1 for _ in stream)
-    elif _indexed(n, cap):
+    elif n <= _INDEX_LEAVES:
         count = None
         found = _index(n).displayers(_pairs(moved), 2)
     else:
@@ -661,12 +647,12 @@ def minimality_report(
     is the first tree in stream order whose only miss is q, and a
     quartet with no such tree is redundant: every edge of T is pinned
     without it, and T is the only binary tree left. On at most
-    _INDEX_LEAVES leaves, where the cap admits the binary scan, the
-    index gives each such tree directly. Past that, a removal is first
-    settled as redundant when, in the closure of the rest, the quartets
-    holding one leaf pin every edge of T, and each quartet still open
-    gets one walk of its own: the first binary tree, in stream order,
-    that displays the rest and not q.
+    _INDEX_LEAVES leaves the index gives each such tree directly,
+    whatever the cap. Past that, a removal is first settled as redundant
+    when, in the closure of the rest, the quartets holding one leaf pin
+    every edge of T, and each quartet still open gets one walk of its
+    own: the first binary tree, in stream order, that displays the rest
+    and not q.
 
     defines decides the set first, and refuses a cap below 3 before any
     route runs. The per-quartet checks are _removal_witnesses, which
@@ -698,11 +684,10 @@ def _removal_witnesses(
     kind: an edge of tree that the rest leaves unpinned. The quartets pin
     every edge, so that can only be quartets[i]'s own unique separator,
     when no other quartet pins it; one count of the quartets pinning
-    each edge serves every index. On at most _INDEX_LEAVES leaves, where
-    the cap admits the binary scan, the index then gives each remaining
-    index its first tree missing quartets[i] alone, or marks it
-    redundant. Past that, or under a smaller cap, the closure of the
-    rest pinning every edge from one leaf makes quartets[i] redundant,
+    each edge serves every index. On at most _INDEX_LEAVES leaves the
+    index then gives each remaining index its first tree missing
+    quartets[i] alone, or marks it redundant. Past that, the closure of
+    the rest pinning every edge from one leaf makes quartets[i] redundant,
     and one walk per open quartet, refused past the cap, settles the
     rest: the first tree of _binary_walk over the other quartets that
     avoids quartets[i]. An index's witness depends only on the quartets,
@@ -715,7 +700,7 @@ def _removal_witnesses(
     pairs = [q.pair_masks() for q in quartets]
     separators = [_unique_separator(masks, p1, p2) for p1, p2 in pairs]
     pins = Counter(separators)
-    indexed = _indexed(n, cap)
+    indexed = n <= _INDEX_LEAVES
     witnesses: dict[int, RemovalWitness] = {}
     left = []
     for i in indices:

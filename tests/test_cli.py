@@ -121,17 +121,12 @@ class TestCheck:
         payload = json.loads(out.stdout)
         assert payload["defines"] is True and payload["minimal"] is True
 
-    def test_a_cap_below_the_leaves_refuses_the_witness_scan(self):
-        # a cap below seven turns the index route off, so q7's last two
-        # witnesses need the scan, which the cap refuses
+    def test_a_cap_below_the_leaves_gives_the_uncapped_answer(self):
+        # on up to eight leaves the index answers whatever the cap
         out = run("check", "--quartets", Q7, "--cap", "6")
-        assert out.returncode == 2
-        assert out.stdout == ""
-        assert out.stderr == (
-            "error: the minimality witnesses for 2 of 6 quartets on 7 leaves need "
-            "the binary scan, which refuses them: 7 leaves exceeds the enumeration "
-            "cap 6 for mode 'binary'\n"
-        )
+        assert out.returncode == 0
+        assert out.stderr == ""
+        assert out.stdout == run("check", "--quartets", Q7).stdout
 
     def test_a_cap_below_three_is_refused(self):
         out = run("check", "--quartets", Q7, "--cap", "-3")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import DATA, qset, quartet_set_from_indices
+from conftest import DATA, qset, quartet_set_from_indices, refuse_scan
 from quartets import (
     AmbientMismatchError,
     TooFewLeavesError,
@@ -298,16 +298,18 @@ class TestClosure:
                 assert semantic_infers(qs, q, leaves=ls)
 
 
-class TestCommonLeafCertificate:
+class TestOneLeafsClosedTriples:
     """Sets whose quartets all hold one leaf. When such a set defines a
     tree, that leaf's triples alone define it, so the closure certificate
-    settles it and defines answers with the scan refused."""
+    settles it and defines answers with the index off and the scan refused."""
 
-    def test_ladder_set_passes(self, leaves6, t6, no_scan):
+    def test_ladder_set_passes(self, leaves6, t6, no_scan, no_index):
         qs = qset(leaves6, (1, 2, 3, 5), (1, 3, 4, 6), (1, 4, 5, 6))
         assert defines(qs).tree == t6
 
-    def test_the_size_four_set_fails_common_leaf(self, q6, t6, no_scan):
+    def test_the_size_four_set_is_settled_by_another_leafs_triples(
+        self, q6, t6, no_scan, no_index
+    ):
         # no single leaf occurs in all four quartets; another leaf's
         # closed triples settle the set all the same
         assert not set.intersection(*(set(q.indices()) for q in q6))
@@ -321,7 +323,7 @@ class TestCommonLeafCertificate:
         ):
             defines(qs, leaves6)
 
-    def test_single_quartet_passes(self, no_scan):
+    def test_single_quartet_passes(self, no_scan, no_index):
         qs = qset(integer_leaves(4), (1, 2, 3, 4))
         assert defines(qs).tree == caterpillar(4)
 
@@ -1189,7 +1191,7 @@ class TestOracleIsTheStream:
 
 
 class TestScanCap:
-    """The cap bounds only the binary scan, not the certificate."""
+    """The cap bounds only the binary scan, not the certificate or the index."""
 
     @pytest.mark.parametrize("n", [13, 20, 30, 64])
     def test_construction_is_defined_past_the_cap(self, n):
@@ -1205,24 +1207,16 @@ class TestScanCap:
         assert "closure certificate did not settle" in message
         assert "cap 12" in message
 
-    def test_a_cap_below_n_keeps_the_certificate_route(self, monkeypatch):
-        # the index stands for the binary scan, so a cap that refuses the
-        # scan turns it off: the certificate answers, as on larger sets
-        calls = []
-        real = decide._closure_certificate
-
-        def counting(qs):
-            calls.append(qs)
-            return real(qs)
-
-        def refuse(n):
-            raise AssertionError("the index answered past the cap")
-
-        monkeypatch.setattr(decide, "_closure_certificate", counting)
-        monkeypatch.setattr(decide, "_index", refuse)
-        v = defines(minimal_definitive_set(8), cap=7)
-        assert v.status == DEFINES and v.tree == caterpillar(8)
-        assert len(calls) == 1
+    def test_a_cap_below_n_gives_the_index_answer(self, monkeypatch):
+        # on up to eight leaves the index answers whatever the cap, so a
+        # cap below n changes neither the route nor the answer
+        q8, q7 = minimal_definitive_set(8), _data("q7.txt")
+        uncapped = defines(q8), minimality_report(q7)
+        monkeypatch.setattr(decide, "_closure_certificate", refuse_scan)
+        monkeypatch.setattr(decide, "_binary_walk", refuse_scan)
+        assert defines(q8, cap=7) == uncapped[0]
+        for cap in range(3, 7):
+            assert minimality_report(q7, cap=cap) == uncapped[1]
 
     @pytest.mark.parametrize("cap", [-3, 0, 2])
     def test_a_cap_below_three_is_refused(self, cap):
