@@ -10,20 +10,25 @@ already present. So a tree displays xy|zk exactly when its ancestor at
 the level of its largest leaf k does, and a quartet's status is settled
 once its last leaf is in.
 
-* oracle mode reads the enumeration stream of every tree with no
-  degree-2 vertices, filtered as it grows: each child of a surviving
-  tree is tested only against the quartets whose largest leaf it has
-  just received, and one that fails is dropped with its whole subtree.
-  What survives to the last leaf is counted. It is the ground truth and
-  is deliberately kept free of the shortcuts below.
+* oracle mode counts every tree with no degree-2 vertices that
+  displays Q. A tree displays ab|cd exactly when one of its splits
+  separates the two pairs (Semple and Steel, Phylogenetics, 2003), so
+  on at most _INDEX_LEAVES leaves it reads the all-tree index below:
+  the count is the number of trees in every quartet's row. Past that it
+  reads the enumeration stream of those trees, filtered as it grows:
+  each child of a surviving tree is tested only against the quartets
+  whose largest leaf it has just received, and one that fails is
+  dropped with its whole subtree. What survives to the last leaf is
+  counted. It is the ground truth and is deliberately kept free of the
+  shortcuts below.
 * fast mode reads binary trees only: a non-binary displayer has at
   least three binary refinements, and each displays everything it
   displays (Semple and Steel, Phylogenetics, 2003, ch. 6). So when
   exactly one binary tree displays Q, no other tree does, and when none
   does, nothing does. On at most _INDEX_LEAVES = 8 leaves it reads the
-  index below, whatever the cap. Past that it first tries the closure
-  certificate below, and when that does not settle Q, it scans binary
-  trees for displayers, stopping at two.
+  binary index below, whatever the cap. Past that it first tries the
+  closure certificate below, and when that does not settle Q, it scans
+  binary trees for displayers, stopping at two.
 
 The closure certificate answers without a scan and is never wrong; it
 only sometimes declines. Q is closed under the one inference rule,
@@ -47,20 +52,29 @@ verdict is defines with T when T displays Q, and incompatible when it
 does not. The first leaf whose BUILD fails or grows a binary tree
 settles Q; when no leaf does, the scan decides.
 
-The index holds, for each n up to _INDEX_LEAVES, the (2n-5)!! binary
-trees of _stream_masks(n, "binary") as the bits of ints: bit t is the
-t-th tree, so bit order is stream order. Each split mask has the int of
-the trees holding it, filled from one pass of the stream; each quartet
-has the OR of the split masks separating its two pairs, computed the
-first time it is asked about. The displayers of Q are the AND of its
-quartets' rows, and the first two set bits are the examples the scan
-would find. A bit decodes back to its tree without the stream: the
-stream inserts leaf k into the 2k-3 edges of a tree on leaves 0..k-1 in
-ascending order, depth first, so each tree on leaves 0..k heads a block
-of prod(2j-3 for j in k+1..n-1) consecutive trees, and t read in that
-mixed radix names the edge taken at each level. At 8 leaves a row is
-10,395 bits, and the 119 split rows and at most 210 quartet rows take
-under 0.5 MB, built once per process.
+There is one index per stream. For each n up to _INDEX_LEAVES, the
+index of a stream holds its trees, _stream_masks(n, "binary") for fast
+mode and _stream_masks(n, "all") for the oracle, as the bits of ints:
+bit t is the t-th tree, so bit order is stream order. Each split mask
+has the int of the trees holding it, filled from one pass of the
+stream; each quartet's row is the OR of the rows of the splits
+separating its two pairs. The displayers of Q are the AND of its
+quartets' rows, and the first two set bits are the examples the stream
+would give first. A bit decodes back to its tree without the stream,
+by subtree sizes. The stream is depth first, and the children of a
+tree on leaves 0..k-1 with s splits come in a fixed order: its k + s
+edge children, each with s + 1 splits, then, in the all-tree stream,
+its s + 1 vertex children, each with s. The trees grown from a child
+form one block of the stream, whose size depends only on k and the
+child's splits. So at each level one division by the block size names
+the child, and only that child is built. In the binary stream every
+tree on leaves 0..k-1 has k - 3 splits, and this is the mixed radix of
+the 2k-3 edges at each level. At 8 leaves a binary row is 10,395 bits
+and an all-tree row 39,208. The binary index caches each quartet row
+it is asked for, and its 119 split rows and at most 210 quartet rows
+take under 0.5 MB. The all-tree index keeps its 119 split rows, about
+0.6 MB, and for each quartet only which of them to OR, so it ORs that
+row again on each call. Each is built once per process.
 
 minimality_report's removal witnesses start with the edge check: a
 loose edge of the defined tree T, left when q is dropped, is q's
@@ -83,19 +97,21 @@ largest leaf of a quartet to avoid, only into edges where it does not.
 It also looks ahead: a tree is dropped as soon as some later leaf w has
 no edge admitting every quartet xy|zw whose x, y and z are placed,
 since every tree grown from it hangs w on one of its edges. Its
-docstring gives both arguments. The oracle, displayers and
-semantic_infers read the filtered enumeration stream instead.
+docstring gives both arguments. displayers, semantic_infers, and the
+oracle past the index read the filtered enumeration stream instead.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
+from operator import or_
 from typing import Iterable, Iterator, Literal
 
 from .enumeration import (
+    _attach,
     _check_cap,
     _check_mode,
     _check_size,
@@ -300,68 +316,101 @@ _INDEX_LEAVES = 8
 
 
 class _Index:
-    """The binary trees on leaves 0..n-1 as the bits of ints, bit t for the
-    t-th tree of _stream_masks(n, "binary"): the index of the module
-    docstring.
+    """The trees of _stream_masks(n, mode) as the bits of ints, bit t for
+    the t-th tree: the index of the module docstring.
 
     splits maps each split mask to the trees holding it, filled from one
-    pass of the stream; rows maps a quartet's pair masks to the trees
-    displaying it, computed on first use. A row depends only on n and the
-    quartet, so a partly filled index answers as a fresh one would;
-    threads racing on one row compute it twice, the same both times.
+    pass of the stream. A quartet's row, the trees displaying it, is the
+    OR of the rows of the splits separating its pairs. The binary index
+    caches each row on first use, since the search reads its rows many
+    times over; the all-tree index caches only which split rows to OR,
+    and ORs them on each call, which keeps its memory near that of its
+    split rows. Either depends only on n, mode and the quartet, so a
+    partly filled index answers as a fresh one would; threads racing on
+    one entry compute it twice, the same both times.
     """
 
-    def __init__(self, n: int):
-        # (k, trees grown from each tree on leaves 0..k, edges leaf k can take)
-        self.radix = []
-        size = 1
+    def __init__(self, n: int, mode: Mode):
+        all_mode = mode == "all"
+        # levels: (k, sizes) for k = 3..n-1, where sizes[s], for a tree on
+        # leaves 0..k-1 with s splits, is (the trees on n leaves grown from
+        # each edge child, the edge children's share of its block, the
+        # trees grown from each vertex child)
+        self.levels: list[tuple[int, list[tuple[int, int, int]]]] = []
+        below = [1] * (n - 2)  # by splits, the trees grown from one on n leaves
         for k in range(n - 1, 2, -1):
-            self.radix.append((k, size, 2 * k - 3))
-            size *= 2 * k - 3
-        self.radix.reverse()
+            sizes = [
+                (below[s + 1], (k + s) * below[s + 1], below[s]) for s in range(k - 2)
+            ]
+            self.levels.append((k, sizes))
+            below = [
+                cut + all_mode * (s + 1) * vertex
+                for s, (_, cut, vertex) in enumerate(sizes)
+            ]
+        self.levels.reverse()
+        size = below[0]
         self.every = (1 << size) - 1
         bits: dict[int, bytearray] = defaultdict(lambda: bytearray((size + 7) // 8))
-        for t, masks in enumerate(_stream_masks(n, "binary")):
+        for t, masks in enumerate(_stream_masks(n, mode)):
             byte, bit = t >> 3, 1 << (t & 7)
             for m in masks:
                 bits[m][byte] |= bit
         # each bytearray is freed as its int is made, so the two sets of
         # rows are never held at once
         self.splits = {m: int.from_bytes(bits.pop(m), "little") for m in list(bits)}
-        self.rows: dict[tuple[int, int], int] = {}
+        self.cached = not all_mode
+        # by pair masks: the row when cached, else the split rows to OR
+        self.rows: dict[tuple[int, int], int | list[int]] = {}
 
     def row(self, pair: tuple[int, int]) -> int:
         """The trees displaying the quartet with these pair masks: those
         holding a split that separates them."""
         row = self.rows.get(pair)
         if row is None:
-            row = 0
-            for m, trees in self.splits.items():
-                if _displays_masks((m,), (pair,)):
-                    row |= trees
+            separating = [
+                trees
+                for m, trees in self.splits.items()
+                if _displays_masks((m,), (pair,))
+            ]
+            row = reduce(or_, separating, 0) if self.cached else separating
             self.rows[pair] = row
-        return row
+        return row if self.cached else reduce(or_, row, 0)
 
     def tree(self, t: int) -> tuple[int, ...]:
-        """The masks of the t-th tree, rebuilt from the edge that t, read in
-        mixed radix, picks at each level."""
+        """The masks of the t-th tree, rebuilt one level at a time. The
+        children of a tree on leaves 0..k-1 with s splits are its k + s
+        edge children, then in the all-tree stream its s + 1 vertex
+        children, and the trees grown from each child form one block of
+        the stream. So one division by the block size names the child,
+        and the remainder is the position within its block."""
         splits: tuple[int, ...] = ()
-        for k, below, edges in self.radix:
-            edge = _edges(splits, k)[t // below % edges]
-            (splits,) = _insert(splits, k, [edge])
+        for k, sizes in self.levels:
+            edge, cut, vertex = sizes[len(splits)]
+            if t < cut:
+                i = t // edge
+                t %= edge
+                (splits,) = _insert(splits, k, [_edges(splits, k)[i]])
+            else:
+                t -= cut
+                i = t // vertex
+                t %= vertex
+                if i:  # the root end, vertex 0, moves nothing
+                    (splits,) = _attach(splits, k, (splits[i - 1],))
         return splits
 
-    def displayers(self, pairs, limit: int) -> list[tuple[int, ...]]:
-        """The first limit trees displaying every quartet, in stream order."""
+    def displayers(self, pairs, limit: int) -> tuple[int, list[tuple[int, ...]]]:
+        """How many trees display every quartet, and the first limit of
+        them, in stream order."""
         bits = self.every
         for pair in pairs:
             bits &= self.row(pair)
+        count = bits.bit_count()
         found = []
         while bits and len(found) < limit:
             low = bits & -bits
             found.append(self.tree(low.bit_length() - 1))
             bits ^= low
-        return found
+        return count, found
 
     def first_misses(self, pairs, indices) -> list[tuple[int, tuple[int, ...]]]:
         """(i, masks) of the first tree that displays every quartet but
@@ -385,9 +434,9 @@ class _Index:
 
 
 @lru_cache(maxsize=None)
-def _index(n: int) -> _Index:
-    """The index on n leaves, built once per process."""
-    return _Index(n)
+def _index(n: int, mode: Mode) -> _Index:
+    """The index of the mode's stream on n leaves, built once per process."""
+    return _Index(n, mode)
 
 
 def _oracle_displayers(
@@ -580,14 +629,18 @@ def defines(
     """Whether exactly one tree on the leaves displays every quartet.
 
     By default the ambient leaf set is exactly the leaves the quartets
-    mention; a larger one must be requested explicitly. Oracle mode grows
-    every tree (no degree-2 vertices), drops each one as soon as a quartet
-    whose last leaf it has inserted is not displayed, and counts the
-    survivors. Fast mode reads the first two binary displayers off the
-    index on at most _INDEX_LEAVES leaves, whatever the cap; past that it
-    tries the closure certificate, then falls back on the binary scan,
-    stopping at two displayers. The module docstring says why each is
-    exact. cap bounds the scans only: a set the index or the certificate
+    mention; a larger one must be requested explicitly. Oracle mode
+    counts every tree (no degree-2 vertices) that displays the set. On
+    at most _INDEX_LEAVES leaves it reads the count and the first two
+    displayers off the all-tree index; past that it grows every tree,
+    drops each one as soon as a quartet whose last leaf it has inserted
+    is not displayed, and counts the survivors. Either way the cap
+    refuses an oracle set past it before any route runs. Fast mode reads
+    the first two binary displayers off the binary index on at most
+    _INDEX_LEAVES leaves, whatever the cap; past that it tries the
+    closure certificate, then falls back on the binary scan, stopping at
+    two displayers. The module docstring says why each is exact. In fast
+    mode cap bounds the scans only: a set the index or the certificate
     settles is answered at any cap. A cap below 3 is refused on entry,
     whatever the route. Every route hands up to two displayers to one
     tail, which turns them into the verdict.
@@ -598,12 +651,16 @@ def defines(
     moved, ambient = _resolve_ambient(qs, leaves, allow_larger_ambient)
     n = ambient.n
     if mode == "oracle":
-        stream = _oracle_displayers(moved, cap)
-        found = list(islice(stream, 2))
-        count = len(found) + sum(1 for _ in stream)
+        if n <= _INDEX_LEAVES:
+            _check_size(n, "all", cap)
+            count, found = _index(n, "all").displayers(_pairs(moved), 2)
+        else:
+            stream = _oracle_displayers(moved, cap)
+            found = list(islice(stream, 2))
+            count = len(found) + sum(1 for _ in stream)
     elif n <= _INDEX_LEAVES:
         count = None
-        found = _index(n).displayers(_pairs(moved), 2)
+        _, found = _index(n, "binary").displayers(_pairs(moved), 2)
     else:
         count = None
         found = _closure_certificate(moved)
@@ -719,7 +776,7 @@ def _removal_witnesses(
     if not left:
         return witnesses
     if indexed:
-        alternatives = dict(_index(n).first_misses(pairs, left))
+        alternatives = dict(_index(n, "binary").first_misses(pairs, left))
     else:
         _check_scan(
             n,

@@ -37,14 +37,17 @@ def refuse_scan(*args):
 
 @pytest.fixture
 def no_scan(monkeypatch):
-    """Make the binary walk raise, so that only the closure certificate answers."""
+    """Make the binary walk raise. Past eight leaves only the closure
+    certificate then answers; on up to eight the index answers first, so
+    a test of the certificate there takes no_index too."""
     monkeypatch.setattr(decide, "_binary_walk", refuse_scan)
 
 
 @pytest.fixture
 def no_index(monkeypatch):
-    """Turn the index route off, so that sets on up to eight leaves go
-    through the closure certificate and the walk, as larger ones do."""
+    """Turn both indices off, so that sets on up to eight leaves go
+    through the routes larger ones take: fast mode through the closure
+    certificate and the walk, the oracle through the filtered stream."""
     monkeypatch.setattr(decide, "_INDEX_LEAVES", 3)
 
 

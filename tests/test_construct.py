@@ -128,7 +128,7 @@ class TestSequence:
         assert reverse(by_index[4], leaves=ls) == by_index[2 * k - 12]
 
     @pytest.mark.parametrize("k", range(6, 13))
-    def test_closure_contains_the_ladder(self, k, no_scan):
+    def test_closure_contains_the_ladder(self, k, no_scan, no_index):
         ls = integer_leaves(k)
         closed = inference_closure(minimal_definitive_set(k))
         ladder = [make_quartet(ls, 1, m, m + 1, m + 3) for m in range(2, k - 2)]

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import defaultdict
 from functools import lru_cache, partial
 from itertools import islice
 
@@ -447,13 +448,15 @@ class TestOracleReference:
     def test_reference_without_quartets_counts_every_tree(self, n):
         assert len(oracles.reference_displayers(n, [])) == oracles.all_tree_count(n)
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_oracle_matches_the_reference(self, n):
+        # the reference shares no code with the index or the stream; at 8
+        # leaves it takes about 0.1 s a set, so fewer sets are drawn there
         rng = random.Random(500 + n)
         ls = integer_leaves(n)
         binary = [s for s in oracles.split_systems(n) if len(s) == n - 3]
         statuses = set()
-        for _ in range(60):
+        for _ in range(60 if n < 8 else 20):
             # quartets shown by one binary tree, sometimes plus an arbitrary one
             source = rng.choice(binary)
             rows = []
@@ -714,7 +717,7 @@ class TestClosureCertificate:
         assert kinds.count("redundant") == len(qs) - 2
         assert kinds.count("undistinguished_edge") == 2
 
-    def test_a_binary_tree_that_misses_the_set_is_incompatible(self, no_scan):
+    def test_a_binary_tree_that_misses_the_set_is_incompatible(self, no_scan, no_index):
         # leaf 3's triples grow a binary tree, the only tree they fit, and
         # it does not display 1,4|3,6, so no tree displays the set
         qs = parse_quartet_file("1,4|3,6\n1,6|4,5\n2,5|3,4\n2,6|3,5\n")
@@ -965,17 +968,20 @@ class TestAvoidWalk:
 
 
 class TestIndex:
-    """The index that decides sets on up to eight leaves, checked against
-    the unpruned binary stream and against the route it replaces there."""
+    """The indices that decide sets on up to eight leaves, checked against
+    the unpruned streams and against the routes they replace there."""
 
     def test_decodes_every_stream_position(self):
-        for n in range(4, 9):
-            stream = list(_stream_masks(n, "binary"))
-            index = decide._index(n)
-            assert index.every == (1 << len(stream)) - 1
-            step = 97 if n == 8 else 1
-            for t in range(0, len(stream), step):
-                assert index.tree(t) == stream[t]
+        # no oracle example in the sampled sets needed a vertex child, so
+        # this is the test that checks their decode
+        for mode in ("binary", "all"):
+            for n in range(3, 9):
+                stream = list(_stream_masks(n, mode))
+                index = decide._index(n, mode)
+                assert index.every == (1 << len(stream)) - 1
+                step = 97 if n == 8 else 1
+                for t in range(0, len(stream), step):
+                    assert index.tree(t) == stream[t]
 
     @staticmethod
     def _cases():
@@ -990,9 +996,11 @@ class TestIndex:
 
     @staticmethod
     def _answers(n, pairs, indices):
-        index = decide._index(n)
+        index = decide._index(n, "binary")
         every = index.every.bit_length()  # no limit: every tree on n leaves
-        return index.displayers(pairs, every), index.first_misses(pairs, indices)
+        count, shown = index.displayers(pairs, every)
+        assert count == len(shown)
+        return shown, index.first_misses(pairs, indices)
 
     def test_matches_the_unpruned_stream(self):
         cases = list(self._cases())
@@ -1015,7 +1023,7 @@ class TestIndex:
             for n, pairs, indices, shown, misses in cases:
                 assert self._answers(n, pairs, indices) == (shown, misses)
         for n in range(4, 9):
-            rows = fresh(n).rows
+            rows = fresh(n, "binary").rows
             for pair in list(rows)[::2]:
                 del rows[pair]
         for n, pairs, indices, shown, misses in cases:
@@ -1054,6 +1062,40 @@ class TestIndex:
         assert kinds == {"undistinguished_edge", "alternative_tree", "redundant"}
         statuses = {v.status for v, _ in on[0]} | {v.status for v in on[1]}
         assert statuses == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
+
+    @staticmethod
+    def _oracle_inputs():
+        """Seeded random sets on 4-8 leaves, then the 8-leaf construction
+        and each of its quartets dropped, so that 8 leaves see every verdict."""
+        for n in range(4, 9):
+            ls = integer_leaves(n)
+            for rows in oracles.random_index_sets(n, 200, seed=40 + n, max_size=2 * n):
+                yield quartet_set_from_indices(ls, rows)
+        qs = minimal_definitive_set(8)
+        yield qs
+        for q in qs.sorted_quartets():
+            yield qs.without_quartet(q)
+
+    def test_oracle_on_and_off_agree(self, monkeypatch):
+        # the all-tree index against the filtered stream: the status, the
+        # exact count, the tree and both examples, in stream order
+        inputs = list(self._oracle_inputs())
+
+        def answers():
+            return [
+                defines(qs, qs.leaves, mode="oracle", allow_larger_ambient=True)
+                for qs in inputs
+            ]
+
+        on = answers()
+        monkeypatch.setattr(decide, "_INDEX_LEAVES", 3)
+        assert answers() == on
+        by_n = defaultdict(set)
+        for qs, v in zip(inputs, on):
+            by_n[qs.leaves.n].add(v.status)
+        assert by_n[8] == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
+        assert set().union(*by_n.values()) == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
+        assert max(v.displayer_count for v in on) > 2
 
 
 class TestRemovalWitnesses:
@@ -1174,9 +1216,10 @@ class TestOracleIsTheStream:
         ],
         ids=["set-8", "set-9", "set-9-minus-first", "q7"],
     )
-    def test_children_built(self, qs, built, monkeypatch):
+    def test_children_built(self, qs, built, monkeypatch, no_index):
         """The filter runs per level: filtering only finished trees gives
-        the same answers at many times this work."""
+        the same answers at many times this work. The index is off, so
+        that the sets on up to eight leaves read the stream too."""
         sizes = []
         real = enumeration._insert
 
@@ -1189,9 +1232,25 @@ class TestOracleIsTheStream:
         defines(qs, mode="oracle")
         assert sum(sizes) == built
 
+    def test_a_built_index_builds_no_child(self, monkeypatch):
+        # once the all-tree index is built, an oracle verdict on up to
+        # eight leaves is read off it: the stream never grows a tree
+        inputs = [_data("q6.txt"), _data("q7.txt"), minimal_definitive_set(8)]
+        inputs += [qs for n in range(5, 9) for qs in islice(_random_sets(n), 20)]
+        for n in range(4, 9):
+            decide._index(n, "all")
+
+        def refuse(*args):
+            raise AssertionError("the oracle grew a tree")
+
+        monkeypatch.setattr(enumeration, "_insert", refuse)
+        statuses = {defines(qs, mode="oracle").status for qs in inputs}
+        assert statuses == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
+
 
 class TestScanCap:
-    """The cap bounds only the binary scan, not the certificate or the index."""
+    """In fast mode the cap bounds only the binary scan, not the certificate
+    or the index; the oracle refuses a set past it on either route."""
 
     @pytest.mark.parametrize("n", [13, 20, 30, 64])
     def test_construction_is_defined_past_the_cap(self, n):
@@ -1217,6 +1276,18 @@ class TestScanCap:
         assert defines(q8, cap=7) == uncapped[0]
         for cap in range(3, 7):
             assert minimality_report(q7, cap=cap) == uncapped[1]
+
+    def test_the_oracle_refuses_a_set_past_the_cap(self, monkeypatch):
+        # the oracle's index holds every tree, as its stream does, so a cap
+        # below n refuses the set before either route runs, with one message
+        q7 = _data("q7.txt")
+        messages = []
+        for limit in (decide._INDEX_LEAVES, 3):
+            monkeypatch.setattr(decide, "_INDEX_LEAVES", limit)
+            with pytest.raises(TooManyLeavesError) as info:
+                defines(q7, mode="oracle", cap=6)
+            messages.append(str(info.value))
+        assert messages == ["7 leaves exceeds the enumeration cap 6 for mode 'all'"] * 2
 
     @pytest.mark.parametrize("cap", [-3, 0, 2])
     def test_a_cap_below_three_is_refused(self, cap):
