@@ -80,34 +80,35 @@ def _report_json(report) -> dict:
     }
 
 
-def _print_report(report) -> None:
+def _report_text(report) -> str:
+    """The text report, whole, so that a label Newick cannot write fails
+    it before any of it is printed."""
     verdict = report.verdict
-    print(
+    lines = [
         f"n={report.n} size={report.size} lower_bound={report.n - 3} "
         f"mode={verdict.mode}"
-    )
+    ]
     if verdict.status == INCOMPATIBLE:
-        print("defines: no (incompatible: nothing displays the set)")
-        return
-    if verdict.status == NOT_DEFINITIVE:
+        lines.append("defines: no (incompatible: nothing displays the set)")
+    elif verdict.status == NOT_DEFINITIVE:
         if verdict.displayer_count is not None:
-            print(f"defines: no ({verdict.displayer_count} displayers)")
+            lines.append(f"defines: no ({verdict.displayer_count} displayers)")
         else:
-            print("defines: no (more than one displayer)")
-        for t in verdict.examples:
-            print("  displayer:", serialize_newick(t))
-        return
-    print("defines:", serialize_newick(verdict.tree))
-    print("minimal:", "yes" if report.minimal else "no")
-    ambient = verdict.tree.leaves
-    for q, w in report.entries:
-        if w.kind == "alternative_tree":
-            detail = "needed; dropping it admits " + serialize_newick(w.tree)
-        elif w.kind == "undistinguished_edge":
-            detail = f"needed; dropping it leaves edge {w.split.text(ambient)} loose"
-        else:
-            detail = "redundant"
-        print(f"  {q.text(ambient)}: {detail}")
+            lines.append("defines: no (more than one displayer)")
+        lines.extend(f"  displayer: {serialize_newick(t)}" for t in verdict.examples)
+    else:
+        lines.append(f"defines: {serialize_newick(verdict.tree)}")
+        lines.append(f"minimal: {'yes' if report.minimal else 'no'}")
+        ambient = verdict.tree.leaves
+        for q, w in report.entries:
+            if w.kind == "alternative_tree":
+                detail = "needed; dropping it admits " + serialize_newick(w.tree)
+            elif w.kind == "undistinguished_edge":
+                detail = f"needed; dropping it leaves edge {w.split.text(ambient)} loose"
+            else:
+                detail = "redundant"
+            lines.append(f"  {q.text(ambient)}: {detail}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_construct(args) -> int:
@@ -127,7 +128,7 @@ def _cmd_check(args) -> int:
     if args.json:
         print(json.dumps(_report_json(report), indent=2))
     else:
-        _print_report(report)
+        sys.stdout.write(_report_text(report))
     return 0 if (report.verdict.is_definitive and report.minimal) else 1
 
 

@@ -70,11 +70,10 @@ child's splits. So at each level one division by the block size names
 the child, and only that child is built. In the binary stream every
 tree on leaves 0..k-1 has k - 3 splits, and this is the mixed radix of
 the 2k-3 edges at each level. At 8 leaves a binary row is 10,395 bits
-and an all-tree row 39,208. The binary index caches each quartet row
-it is asked for, and its 119 split rows and at most 210 quartet rows
-take under 0.5 MB. The all-tree index keeps its 119 split rows, about
-0.6 MB, and for each quartet only which of them to OR, so it ORs that
-row again on each call. Each is built once per process.
+and an all-tree row 39,208. Each index caches every quartet row it is
+asked for, so a row is ORed once per process. With its 119 split rows
+and at most 210 quartet rows, the binary index takes under 0.5 MB and
+the all-tree index about 1.6 MB. Each is built once per process.
 
 minimality_report's removal witnesses start with the edge check: a
 loose edge of the defined tree T, left when q is dropped, is q's
@@ -321,13 +320,11 @@ class _Index:
 
     splits maps each split mask to the trees holding it, filled from one
     pass of the stream. A quartet's row, the trees displaying it, is the
-    OR of the rows of the splits separating its pairs. The binary index
-    caches each row on first use, since the search reads its rows many
-    times over; the all-tree index caches only which split rows to OR,
-    and ORs them on each call, which keeps its memory near that of its
-    split rows. Either depends only on n, mode and the quartet, so a
-    partly filled index answers as a fresh one would; threads racing on
-    one entry compute it twice, the same both times.
+    OR of the rows of the splits separating its pairs, cached in rows on
+    first use: there are at most 3 * C(n, 4) of them, 210 at 8 leaves. A
+    row depends only on n, mode and the quartet, so a partly filled
+    index answers as a fresh one would; threads racing on one entry
+    compute it twice, the same both times.
     """
 
     def __init__(self, n: int, mode: Mode):
@@ -358,23 +355,20 @@ class _Index:
         # each bytearray is freed as its int is made, so the two sets of
         # rows are never held at once
         self.splits = {m: int.from_bytes(bits.pop(m), "little") for m in list(bits)}
-        self.cached = not all_mode
-        # by pair masks: the row when cached, else the split rows to OR
-        self.rows: dict[tuple[int, int], int | list[int]] = {}
+        self.rows: dict[tuple[int, int], int] = {}  # by pair masks, filled on use
 
     def row(self, pair: tuple[int, int]) -> int:
         """The trees displaying the quartet with these pair masks: those
         holding a split that separates them."""
         row = self.rows.get(pair)
         if row is None:
-            separating = [
-                trees
-                for m, trees in self.splits.items()
-                if _displays_masks((m,), (pair,))
-            ]
-            row = reduce(or_, separating, 0) if self.cached else separating
+            row = reduce(
+                or_,
+                (t for m, t in self.splits.items() if _displays_masks((m,), (pair,))),
+                0,
+            )
             self.rows[pair] = row
-        return row if self.cached else reduce(or_, row, 0)
+        return row
 
     def tree(self, t: int) -> tuple[int, ...]:
         """The masks of the t-th tree, rebuilt one level at a time. The

@@ -4,18 +4,32 @@
 collapsed with a logged warning. The leaf set of a parsed file is
 exactly the set of labels that occur. Serialisation emits one line per
 quartet in canonical index order, so files round-trip byte for byte.
+
+One pattern, _LINE, accepts every well-formed line and yields its four
+labels. A line it rejects is read again piece by piece, only to say
+what is wrong with it: the bar, then each side's comma, then each label.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 
 from .errors import DuplicateLeafError, ParseError, QuartetError
-from .model import LeafSet, QuartetSet, make_quartet
+from .model import LeafSet, QuartetSet, normalized_quartet
 
 log = logging.getLogger("quartets.quartetfile")
 
 _FORBIDDEN = set(",|#")
+
+# Blank, a comment, or a quartet with an optional comment after it. `\s`
+# is what str.isspace and str.strip call whitespace, so a label is what
+# strip() leaves of a piece between separators, when it holds no space.
+_LABEL = r"([^\s,|#]+)"
+_LINE = re.compile(
+    rf"\s*(?:{_LABEL}\s*,\s*{_LABEL}\s*\|\s*{_LABEL}\s*,\s*{_LABEL}\s*)?(?:#.*)?",
+    re.DOTALL,
+)
 
 
 def parse_quartet_text(text: str) -> tuple[str, str, str, str]:
@@ -27,25 +41,29 @@ def parse_quartet_text(text: str) -> tuple[str, str, str, str]:
 
 
 def _split_line(raw: str, line: int | None) -> tuple[str, str, str, str] | None:
-    body = raw.split("#", 1)[0].strip()
-    if not body:
-        return None
-    halves = body.split("|")
+    """The four labels of one line, or None for a blank or comment line."""
+    match = _LINE.fullmatch(raw)
+    if match is None:
+        raise _fault(raw, line)
+    return None if match[1] is None else match.groups()
+
+
+def _fault(raw: str, line: int | None) -> ParseError:
+    """The error in a line that _LINE rejects."""
+    halves = raw.split("#", 1)[0].strip().split("|")
     if len(halves) != 2:
-        raise ParseError("expected exactly one '|'", line=line)
-    out = []
+        return ParseError("expected exactly one '|'", line=line)
     for half in halves:
         names = [part.strip() for part in half.split(",")]
         if len(names) != 2:
-            raise ParseError(
+            return ParseError(
                 "each side of '|' needs exactly two comma-separated labels",
                 line=line,
             )
         for name in names:
-            if not name or any(ch.isspace() or ch in _FORBIDDEN for ch in name):
-                raise ParseError(f"bad label {name!r}", line=line)
-            out.append(name)
-    return tuple(out)
+            if not name or any(ch.isspace() for ch in name):
+                return ParseError(f"bad label {name!r}", line=line)
+    raise AssertionError(f"_LINE rejects the well-formed line {raw!r}")
 
 
 def parse_quartet_file(text: str) -> QuartetSet:
@@ -57,10 +75,11 @@ def parse_quartet_file(text: str) -> QuartetSet:
     if not rows:
         raise ParseError("no quartets in input")
     leaves = LeafSet.from_labels({label for _, four in rows for label in four})
+    index = leaves._index  # built from these very labels, so it holds each one
     first_seen: dict = {}
-    for lineno, four in rows:
+    for lineno, (a, b, c, d) in rows:
         try:
-            q = make_quartet(leaves, *four)
+            q = normalized_quartet(index[a], index[b], index[c], index[d])
         except DuplicateLeafError as exc:
             raise DuplicateLeafError(f"line {lineno}: {exc}") from None
         if q in first_seen:

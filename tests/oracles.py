@@ -3,14 +3,19 @@
 Nothing here imports the package's enumeration internals: the counts
 come from closed forms and a standalone recurrence, and displayers come
 from a split-system backtrack, so an agreement failure points at the
-implementation, not at a shared bug.
+implementation, not at a shared bug. The reference quartet-file reader
+is the one exception: it builds the package's own QuartetSet and raises
+its error classes, so that its answers compare with the package's whole.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 from functools import lru_cache
 from itertools import combinations
+
+from quartets import DuplicateLeafError, LeafSet, ParseError, QuartetSet, make_quartet
 
 
 def binary_tree_count(n: int) -> int:
@@ -147,3 +152,68 @@ def reference_newick(labels: list[str], sides) -> str:
         return "(" + ",".join(write(c) for c in sorted(children[part], key=min)) + ")"
 
     return write(everyone) + ";"
+
+
+reference_log = logging.getLogger("oracles.quartetfile")
+
+
+def reference_split_line(raw: str, line: int | None):
+    """The four labels of one `a,b|c,d` line, or None for a blank or
+    comment line: the quartet-file reader as it was written before one
+    pattern accepted its lines, split by split and label by label."""
+    body = raw.split("#", 1)[0].strip()
+    if not body:
+        return None
+    halves = body.split("|")
+    if len(halves) != 2:
+        raise ParseError("expected exactly one '|'", line=line)
+    out = []
+    for half in halves:
+        names = [part.strip() for part in half.split(",")]
+        if len(names) != 2:
+            raise ParseError(
+                "each side of '|' needs exactly two comma-separated labels",
+                line=line,
+            )
+        for name in names:
+            if not name or any(ch.isspace() or ch in ",|#" for ch in name):
+                raise ParseError(f"bad label {name!r}", line=line)
+            out.append(name)
+    return tuple(out)
+
+
+def reference_parse_quartet_text(text: str):
+    """parse_quartet_text as reference_split_line reads it."""
+    labels = reference_split_line(text, None)
+    if labels is None:
+        raise ParseError("empty quartet text")
+    return labels
+
+
+def reference_parse_quartet_file(text: str):
+    """parse_quartet_file through reference_split_line and make_quartet,
+    warning on reference_log about each repeated quartet."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parsed = reference_split_line(raw, lineno)
+        if parsed is not None:
+            rows.append((lineno, parsed))
+    if not rows:
+        raise ParseError("no quartets in input")
+    leaves = LeafSet.from_labels({label for _, four in rows for label in four})
+    first_seen: dict = {}
+    for lineno, four in rows:
+        try:
+            q = make_quartet(leaves, *four)
+        except DuplicateLeafError as exc:
+            raise DuplicateLeafError(f"line {lineno}: {exc}") from None
+        if q in first_seen:
+            reference_log.warning(
+                "line %d repeats quartet %s from line %d",
+                lineno,
+                q.text(leaves),
+                first_seen[q],
+            )
+        else:
+            first_seen[q] = lineno
+    return QuartetSet(leaves, frozenset(first_seen))

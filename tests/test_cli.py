@@ -134,6 +134,17 @@ class TestCheck:
         assert out.stdout == ""
         assert out.stderr == "error: cap must be at least 3 leaves, got -3\n"
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_a_label_newick_cannot_write_prints_no_report(self, tmp_path, json_flag):
+        # the file reads, and the set defines a tree, but "a(" cannot be
+        # written as Newick: no half of the report may go out
+        f = tmp_path / "paren.txt"
+        f.write_text(DATA.joinpath("q6.txt").read_text().replace("1,", "a(,"))
+        out = run("check", "--quartets", str(f), *json_flag)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: label 'a(' cannot be written in this format\n"
+
     def test_missing_file(self):
         out = run("check", "--quartets", "/nonexistent/q.txt")
         assert out.returncode == 2

@@ -1013,21 +1013,36 @@ class TestIndex:
         assert any(not shown for *_, shown, _ in cases)
 
     def test_answers_do_not_depend_on_the_index(self, monkeypatch):
-        # a quartet's row depends only on n and the quartet, so an emptied
-        # index, the same index filled, and one with half its rows dropped
-        # answer alike
+        # a quartet's row depends only on n, the stream and the quartet, so
+        # an emptied index, the same index filled, and one with half its
+        # rows dropped answer alike, in both streams: the binary one against
+        # the unpruned stream, the oracle's in its exact count and examples
         cases = list(self._cases())
+        sets = list(self._oracle_inputs())
+
+        def oracle():
+            return [
+                defines(qs, qs.leaves, mode="oracle", allow_larger_ambient=True)
+                for qs in sets
+            ]
+
         fresh = lru_cache(maxsize=None)(decide._Index)
         monkeypatch.setattr(decide, "_index", fresh)
+        verdicts = oracle()
         for _ in range(2):
             for n, pairs, indices, shown, misses in cases:
                 assert self._answers(n, pairs, indices) == (shown, misses)
+        assert oracle() == verdicts
         for n in range(4, 9):
-            rows = fresh(n, "binary").rows
-            for pair in list(rows)[::2]:
-                del rows[pair]
+            for mode in ("binary", "all"):
+                rows = fresh(n, mode).rows
+                assert rows
+                for pair in list(rows)[::2]:
+                    del rows[pair]
         for n, pairs, indices, shown, misses in cases:
             assert self._answers(n, pairs, indices) == (shown, misses)
+        assert oracle() == verdicts
+        assert {v.status for v in verdicts} == {DEFINES, NOT_DEFINITIVE, INCOMPATIBLE}
 
     @staticmethod
     def _route_inputs():

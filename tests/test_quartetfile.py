@@ -1,6 +1,8 @@
 """The line-per-quartet text format used by the command line tools."""
 
 import logging
+import random
+import re
 
 import pytest
 
@@ -87,6 +89,85 @@ class TestParseText:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_quartet_text("   ")
+
+
+class TestAgainstTheReference:
+    """The pattern reader against the reader it replaced, kept in oracles:
+    the same QuartetSet, or the same error class and message, and the
+    same repeat warnings, on seeded edits of the texts above."""
+
+    TEXTS = [
+        DATA.joinpath("q6.txt").read_text(),
+        "3,5|1,2\n",
+        "2,1|5,3\n",
+        "# the size-four set on six leaves\n\n1,2|3,5   # spine pin\n1,3|4,6\n"
+        "   \n1,2|5,6\n2,4|5,6  # tail\n",
+        "1,2|3,4\n3,4|2,1\n",
+        "2,10|9,1\n",
+        "cat,dog|emu,fox\n",
+        "# nothing here\n\n",
+        "1,2|3,4\n1,2|3,5\n1,2,3|4,5\n",
+        "1,2|3|4\n",
+        "1,1|3,4\n",
+        "1,|3,4\n",
+    ]
+    # separators, whitespace that str.strip and str.splitlines know beyond
+    # ASCII (\x1c and \x85 end a line too), and label characters
+    ALPHABET = [",", "|", "#", " ", "\t", "\r", "\n", "\x0b", "\x1c", "\x85", "\u2003",
+                "1", "2", "7", "a"]
+
+    @classmethod
+    def _texts(cls, count, seed):
+        rng = random.Random(seed)
+        yield from cls.TEXTS
+        for _ in range(count):
+            text = rng.choice(cls.TEXTS)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(text) + 1)
+                edit = rng.randrange(3)  # delete, insert or substitute
+                put = rng.choice(cls.ALPHABET) if edit else ""
+                text = text[:at] + put + text[at + (edit != 1):]
+            yield text
+
+    @staticmethod
+    def _outcome(parse, text, caplog, logger):
+        caplog.clear()
+        try:
+            result = parse(text)
+        except Exception as exc:  # compared, class and message, below
+            result = (type(exc), str(exc))
+        return result, [r.getMessage() for r in caplog.records if r.name == logger]
+
+    def test_same_answers_as_the_reference_reader(self, caplog):
+        sets = warned = 0
+        errors = set()
+        with caplog.at_level(logging.WARNING):
+            for text in self._texts(20000, seed=30):
+                got = self._outcome(parse_quartet_file, text, caplog, "quartets.quartetfile")
+                want = self._outcome(
+                    oracles.reference_parse_quartet_file, text, caplog, "oracles.quartetfile"
+                )
+                assert got == want, repr(text)
+                result, warnings = got
+                if isinstance(result, QuartetSet):
+                    sets += 1
+                    warned += bool(warnings)
+                else:
+                    kind = re.sub(r" '.*'| on line \d+|^line \d+: ", "", result[1])
+                    errors.add((result[0], kind))
+                for line in [text, *text.splitlines()]:
+                    got = self._outcome(parse_quartet_text, line, caplog, "")
+                    want = self._outcome(oracles.reference_parse_quartet_text, line, caplog, "")
+                    assert got == want, repr(line)
+        # every outcome occurs: sets with and without a repeat, each error
+        assert 0 < warned < sets
+        assert errors == {
+            (ParseError, "expected exactly one"),
+            (ParseError, "each side of needs exactly two comma-separated labels"),
+            (ParseError, "bad label"),
+            (ParseError, "no quartets in input"),
+            (DuplicateLeafError, "quartet leaves must be distinct"),
+        }
 
 
 class TestSerialize:
