@@ -60,20 +60,16 @@ has the int of the trees holding it, filled from one pass of the
 stream; each quartet's row is the OR of the rows of the splits
 separating its two pairs. The displayers of Q are the AND of its
 quartets' rows, and the first two set bits are the examples the stream
-would give first. A bit decodes back to its tree without the stream,
-by subtree sizes. The stream is depth first, and the children of a
-tree on leaves 0..k-1 with s splits come in a fixed order: its k + s
-edge children, each with s + 1 splits, then, in the all-tree stream,
-its s + 1 vertex children, each with s. The trees grown from a child
-form one block of the stream, whose size depends only on k and the
-child's splits. So at each level one division by the block size names
-the child, and only that child is built. In the binary stream every
-tree on leaves 0..k-1 has k - 3 splits, and this is the mixed radix of
-the 2k-3 edges at each level. At 8 leaves a binary row is 10,395 bits
-and an all-tree row 39,208. Each index caches every quartet row it is
-asked for, so a row is ORed once per process. With its 119 split rows
-and at most 210 quartet rows, the binary index takes under 0.5 MB and
-the all-tree index about 1.6 MB. Each is built once per process.
+would give first. The same pass keeps every tree it streams: the masks
+of the t-th tree fill the t-th slot of one bytes table, n - 3 bytes
+wide, the splits of a binary tree, and padded with zeros. A mask on at
+most 8 leaves fits one byte, and 0 is never a split mask, so bit t
+reads back as its tree with one slice. At 8 leaves a binary row is
+10,395 bits and an all-tree row 39,208. Each index caches every
+quartet row it is asked for, so a row is ORed once per process. With
+its 119 split rows, at most 210 quartet rows and its table, the binary
+index takes about 0.5 MB and the all-tree index about 1.8 MB. Each is
+built once per process.
 
 minimality_report's removal witnesses start with the edge check: a
 loose edge of the defined tree T, left when q is dropped, is q's
@@ -110,13 +106,13 @@ from operator import or_
 from typing import Iterable, Iterator, Literal
 
 from .enumeration import (
-    _attach,
     _check_cap,
     _check_mode,
     _check_size,
     _edges,
     _insert,
     _stream_masks,
+    count_trees,
     Mode,
 )
 from .errors import (
@@ -311,15 +307,17 @@ def _check_scan(n: int, cap: int | None, lead: str) -> None:
         raise TooManyLeavesError(f"{lead}: {e}") from None
 
 
-_INDEX_LEAVES = 8
+_INDEX_LEAVES = 8  # at most 8, or a split mask would not fit a byte of the table
 
 
 class _Index:
     """The trees of _stream_masks(n, mode) as the bits of ints, bit t for
     the t-th tree: the index of the module docstring.
 
-    splits maps each split mask to the trees holding it, filled from one
-    pass of the stream. A quartet's row, the trees displaying it, is the
+    splits maps each split mask to the trees holding it, and table holds
+    the masks of each tree in a slot of width bytes, padded with zeros;
+    both are filled from one pass of the stream, sized up front by
+    count_trees. A quartet's row, the trees displaying it, is the
     OR of the rows of the splits separating its pairs, cached in rows on
     first use: there are at most 3 * C(n, 4) of them, 210 at 8 leaves. A
     row depends only on n, mode and the quartet, so a partly filled
@@ -328,33 +326,35 @@ class _Index:
     """
 
     def __init__(self, n: int, mode: Mode):
-        all_mode = mode == "all"
-        # levels: (k, sizes) for k = 3..n-1, where sizes[s], for a tree on
-        # leaves 0..k-1 with s splits, is (the trees on n leaves grown from
-        # each edge child, the edge children's share of its block, the
-        # trees grown from each vertex child)
-        self.levels: list[tuple[int, list[tuple[int, int, int]]]] = []
-        below = [1] * (n - 2)  # by splits, the trees grown from one on n leaves
-        for k in range(n - 1, 2, -1):
-            sizes = [
-                (below[s + 1], (k + s) * below[s + 1], below[s]) for s in range(k - 2)
-            ]
-            self.levels.append((k, sizes))
-            below = [
-                cut + all_mode * (s + 1) * vertex
-                for s, (_, cut, vertex) in enumerate(sizes)
-            ]
-        self.levels.reverse()
-        size = below[0]
+        size = count_trees(n, mode)
         self.every = (1 << size) - 1
-        bits: dict[int, bytearray] = defaultdict(lambda: bytearray((size + 7) // 8))
-        for t, masks in enumerate(_stream_masks(n, mode)):
-            byte, bit = t >> 3, 1 << (t & 7)
+        width = self.width = n - 3  # a binary tree's splits, the most a tree has
+        # by mask, the trees holding it: a row for each split mask, the
+        # masks without leaf 0 and with two leaves or more on either side,
+        # in a list, which is read faster than a dict
+        bits = [
+            bytearray((size + 7) // 8)
+            if not m & 1 and 1 < m.bit_count() < n - 1
+            else None
+            for m in range(1 << n)
+        ]
+        table = bytearray()
+        byte, bit = 0, 1  # the t-th tree's: byte t >> 3, bit 1 << (t & 7)
+        for masks in _stream_masks(n, mode):
             for m in masks:
                 bits[m][byte] |= bit
+            table += bytes(masks).ljust(width, b"\0")
+            bit <<= 1
+            if bit == 256:
+                byte, bit = byte + 1, 1
+        self.table = bytes(table)
         # each bytearray is freed as its int is made, so the two sets of
         # rows are never held at once
-        self.splits = {m: int.from_bytes(bits.pop(m), "little") for m in list(bits)}
+        self.splits: dict[int, int] = {}
+        for m, row in enumerate(bits):
+            if row is not None:
+                bits[m] = None
+                self.splits[m] = int.from_bytes(row, "little")
         self.rows: dict[tuple[int, int], int] = {}  # by pair masks, filled on use
 
     def row(self, pair: tuple[int, int]) -> int:
@@ -371,26 +371,10 @@ class _Index:
         return row
 
     def tree(self, t: int) -> tuple[int, ...]:
-        """The masks of the t-th tree, rebuilt one level at a time. The
-        children of a tree on leaves 0..k-1 with s splits are its k + s
-        edge children, then in the all-tree stream its s + 1 vertex
-        children, and the trees grown from each child form one block of
-        the stream. So one division by the block size names the child,
-        and the remainder is the position within its block."""
-        splits: tuple[int, ...] = ()
-        for k, sizes in self.levels:
-            edge, cut, vertex = sizes[len(splits)]
-            if t < cut:
-                i = t // edge
-                t %= edge
-                (splits,) = _insert(splits, k, [_edges(splits, k)[i]])
-            else:
-                t -= cut
-                i = t // vertex
-                t %= vertex
-                if i:  # the root end, vertex 0, moves nothing
-                    (splits,) = _attach(splits, k, (splits[i - 1],))
-        return splits
+        """The masks of the t-th tree: its slot of the table, less the zeros
+        that pad it."""
+        at = t * self.width
+        return tuple(self.table[at : at + self.width].rstrip(b"\0"))
 
     def displayers(self, pairs, limit: int) -> tuple[int, list[tuple[int, ...]]]:
         """How many trees display every quartet, and the first limit of

@@ -115,40 +115,30 @@ def _insert(splits: tuple[int, ...], k: int, edges: list[int]) -> list[tuple[int
     return children
 
 
-def _attach(
-    splits: tuple[int, ...], k: int, vertices: tuple[int, ...]
-) -> list[tuple[int, ...]]:
-    """The trees obtained by attaching leaf k to the vertex of each split
-    v in vertices, in order.
-
-    Each child's splits are ascending, built without a sort: each split
-    m that contains v, v too, becomes m | 1<<k; as in _insert, those
-    sides sort after every other side and keep their order, and every
-    other split keeps its place.
-    """
-    bitk = 1 << k
-    children = []
-    for v in vertices:
-        head = []
-        tail = []
-        for m in splits:
-            if m | v != m:
-                head.append(m)
-            else:
-                tail.append(m | bitk)
-        children.append(tuple(head + tail))
-    return children
-
-
 def _children(splits: tuple[int, ...], k: int, all_mode: bool) -> list[tuple[int, ...]]:
     """The trees obtained by inserting leaf k, in canonical position order:
     one per edge (_insert), then in "all" mode one per interior vertex,
-    the root end first, where nothing moves, then each split's (_attach).
+    the root end first, where nothing moves, then the vertex of each
+    split v in turn.
+
+    Attaching k to v's vertex turns each split m that contains v, v too,
+    into m | 1<<k. As in _insert, those sides sort after every other side
+    and keep their order, and every other split keeps its place, so each
+    child's splits are ascending, built without a sort.
     """
     children = _insert(splits, k, _edges(splits, k))
     if all_mode:
+        bitk = 1 << k
         children.append(splits)  # attach beside leaf 0's neighbour, nothing moves
-        children += _attach(splits, k, splits)
+        for v in splits:
+            head = []
+            tail = []
+            for m in splits:
+                if m | v != m:
+                    head.append(m)
+                else:
+                    tail.append(m | bitk)
+            children.append(tuple(head + tail))
     return children
 
 

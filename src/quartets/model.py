@@ -203,6 +203,8 @@ class Quartet:
             raise DuplicateLeafError("quartet leaves must be distinct")
         if not (self.a < self.b and self.c < self.d and self.a < self.c):
             raise QuartetError("quartet not in normal form")
+        if self.a < 0:  # the least index, in normal form
+            raise UnknownLeafError(f"quartet index {self.a} is negative")
 
     def indices(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

@@ -82,15 +82,11 @@ def parse_quartet_file(text: str) -> QuartetSet:
             q = normalized_quartet(index[a], index[b], index[c], index[d])
         except DuplicateLeafError as exc:
             raise DuplicateLeafError(f"line {lineno}: {exc}") from None
-        if q in first_seen:
+        first = first_seen.setdefault(q, lineno)
+        if first != lineno:
             log.warning(
-                "line %d repeats quartet %s from line %d",
-                lineno,
-                q.text(leaves),
-                first_seen[q],
+                "line %d repeats quartet %s from line %d", lineno, q.text(leaves), first
             )
-        else:
-            first_seen[q] = lineno
     return QuartetSet(leaves, frozenset(first_seen))
 
 

@@ -973,15 +973,15 @@ class TestIndex:
 
     def test_decodes_every_stream_position(self):
         # no oracle example in the sampled sets needed a vertex child, so
-        # this is the test that checks their decode
+        # this is the test that holds their slots of the table to the
+        # stream; all 10,395 + 39,208 positions at 8 leaves, and n = 3,
+        # whose slots are empty
         for mode in ("binary", "all"):
             for n in range(3, 9):
                 stream = list(_stream_masks(n, mode))
                 index = decide._index(n, mode)
                 assert index.every == (1 << len(stream)) - 1
-                step = 97 if n == 8 else 1
-                for t in range(0, len(stream), step):
-                    assert index.tree(t) == stream[t]
+                assert [index.tree(t) for t in range(len(stream))] == stream
 
     @staticmethod
     def _cases():

@@ -202,6 +202,14 @@ class TestQuartet:
         with pytest.raises(QuartetError, match="quartet not in normal form"):
             Quartet(2, 3, 0, 1)
 
+    def test_negative_index_rejected(self):
+        # Python would read index -1 as the last label, and a shift by it
+        # fails with a bare ValueError
+        with pytest.raises(UnknownLeafError, match="quartet index -1 is negative"):
+            Quartet(-1, 0, 1, 2)
+        with pytest.raises(UnknownLeafError):
+            QuartetSet(integer_leaves(4), frozenset({normalized_quartet(0, -1, 1, 2)}))
+
     def test_set_index_out_of_range_rejected(self):
         with pytest.raises(UnknownLeafError, match="quartet index 5 out of range for 5 leaves"):
             QuartetSet(integer_leaves(5), frozenset({normalized_quartet(0, 1, 2, 5)}))
