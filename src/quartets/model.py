@@ -14,9 +14,9 @@ hot checks to a couple of integer operations. A tree holds its masks as
 one sorted tuple of ints; Split objects are built only on request.
 
 Moving a tree or quartet set onto another leaf set (relabelling, cherry
-replacement, leaf removal, reindexing, reading Newick) builds one table
-per call, old leaf index to its place in the new leaf set, maps each
-mask through it bit by bit and flips a moved split that holds index 0.
+replacement, leaf removal, reindexing) builds one table per call, old
+leaf index to its place in the new leaf set, maps each mask through it
+bit by bit and flips a moved split that holds index 0.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ class LeafSet:
 
     Labels are stored sorted under natural_key, whatever order they are
     given in, so for integer-style labels the index order agrees with
-    numeric order and index 0 is the smallest label.
+    numeric order and index 0 is the smallest label. When every label is
+    decimal, two sorts in C give the same order without a Python key:
+    by the raw label, then, stably, by its number.
     """
 
     labels: tuple[str, ...]
@@ -83,7 +85,10 @@ class LeafSet:
             raise TooManyLeavesError(
                 f"{len(self.labels)} leaves exceeds the {MAX_LEAVES}-leaf cap"
             )
-        labels = tuple(sorted(self.labels, key=natural_key))
+        if all(map(str.isdecimal, self.labels)):
+            labels = tuple(sorted(sorted(self.labels), key=int))
+        else:
+            labels = tuple(sorted(self.labels, key=natural_key))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
 

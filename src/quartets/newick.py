@@ -4,25 +4,37 @@ Reading takes the usual rooted nesting, ignores branch lengths (each must
 still read as a number), rejects interior labels, and keeps only the leaf
 clusters; degree-2 vertices (including a degree-2 root) vanish on their
 own because equal clusters collapse into one split. It walks the nesting
-with an explicit stack of open clusters, so any depth reads. Like
-writing, it refuses a tree on fewer than three leaves.
+with an explicit stack of open clusters, so any depth reads. The leaves
+of a cluster are consecutive in the order the labels appear, so the
+stack holds the number of labels read before each open '(', and a ')'
+records its cluster as that range of label positions. Once every label
+is read, one running sum below[i] of the sorted-index bits of the first
+i labels gives each cluster's mask as below[stop] ^ below[first]: the
+bits are distinct, so the sum is their union. Like writing, it refuses a
+tree on fewer than three leaves.
 
 Writing roots the tree at the vertex next to leaf 0. The split masks,
 each the side without leaf 0, nest as the clusters below that root. One
-pass writes them smallest first: a cluster's parts are the leaves and
-the clusters already written directly inside it, each named by its
-smallest leaf, and they are written in that order. Every edge is visited
-once, every tree has exactly one rendering, and reading it back returns
-the identical value. The masks must be pairwise compatible, which
-tree_from_splits checks and every tree built in this package satisfies.
+pass writes them in the tree's stored order, ascending as integers, and
+the root, the full mask, last: a cluster strictly inside m is a smaller
+integer than m, so it is written before m, and clusters that do not nest
+are disjoint and write to different slots, so their order does not show
+in the text. A cluster's parts are the leaves and the clusters already
+written directly inside it, each named by its smallest leaf, and they
+are written in that order. Every edge is visited once, every tree has
+exactly one rendering, and reading it back returns the identical value.
+The masks must be pairwise compatible, which tree_from_splits checks and
+every tree built in this package satisfies.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import accumulate
 
 from .errors import ParseError, InteriorLabelError, QuartetError, TooFewLeavesError
-from .model import LeafSet, PhyloTree, _canonical, _move_mask
+from .model import LeafSet, PhyloTree, _canonical
 
 # labels may not contain structural characters or whitespace; \s matches
 # exactly the characters for which str.isspace() is true
@@ -41,8 +53,8 @@ def parse_newick(text: str) -> PhyloTree:
     pos = 0
     end = len(text)
     labels: list[str] = []
-    clusters: list[int] = []  # bit masks over label-appearance order
-    nest: list[int] = []  # the leaves read so far under each open '('
+    clusters: list[tuple[int, int]] = []  # (first, stop) label positions
+    nest: list[int] = []  # the number of labels read before each open '('
     # whitespace is rare, so each skip over it first tests one character
     while True:
         # a subtree starts at pos
@@ -51,7 +63,7 @@ def parse_newick(text: str) -> PhyloTree:
         if pos >= end:
             raise ParseError("unexpected end of input", position=pos)
         if text[pos] == "(":
-            nest.append(0)
+            nest.append(len(labels))
             pos += 1
             continue
         start = pos
@@ -60,7 +72,6 @@ def parse_newick(text: str) -> PhyloTree:
         if pos == start:
             raise ParseError("expected a leaf label", position=pos)
         labels.append(text[start:pos])
-        below = 1 << (len(labels) - 1)
         # the subtree below ends at pos: read its length, then close every
         # cluster that ends with it, until a ',' opens the next subtree
         while True:
@@ -78,7 +89,6 @@ def parse_newick(text: str) -> PhyloTree:
                 pos = _SPACE.match(text, pos).end()
             if not nest:
                 break
-            nest[-1] |= below
             if pos < end and text[pos] == ",":
                 pos += 1
                 break
@@ -91,8 +101,7 @@ def parse_newick(text: str) -> PhyloTree:
                 raise InteriorLabelError(
                     "labels on interior vertices are not supported", position=pos
                 )
-            below = nest.pop()
-            clusters.append(below)
+            clusters.append((nest.pop(), len(labels)))
         if not nest:
             break
     if pos >= end or text[pos] != ";":
@@ -100,47 +109,56 @@ def parse_newick(text: str) -> PhyloTree:
     pos = _SPACE.match(text, pos + 1).end()
     if pos != end:
         raise ParseError("trailing text after ';'", position=pos)
-    leaves = LeafSet.from_labels(labels)
+    # every label is a non-empty str, so from_labels would only copy them
+    leaves = LeafSet(tuple(labels))
     n = leaves.n
     if n < 3:
         raise TooFewLeavesError("a tree needs at least three leaves")
     full = leaves.full_mask()
-    # appearance order -> bit of the label's sorted index
-    bit = [1 << leaves.index(label) for label in labels]
-    masks = []
-    for cluster in clusters:
-        m = _move_mask(cluster, bit)
-        if 2 <= m.bit_count() <= n - 2:
-            masks.append(_canonical(m, full))
+    index = leaves._index
+    below = list(accumulate((1 << index[label] for label in labels), initial=0))
+    # the labels are distinct, so a cluster holds stop - first leaves
+    masks = [
+        _canonical(below[stop] ^ below[first], full)
+        for first, stop in clusters
+        if 2 <= stop - first <= n - 2
+    ]
     # clusters of a nesting are laminar, so the splits are compatible
     return PhyloTree(leaves, masks)
 
 
-def serialize_newick(tree: PhyloTree) -> str:
-    """Canonical Newick for the tree, invertible by parse_newick."""
-    leaves = tree.leaves
-    n = leaves.n
-    if n < 3:
-        raise TooFewLeavesError("serialisation needs at least three leaves")
-    if _BAD_LABEL_CHAR.search("".join(leaves.labels)):
-        for label in leaves.labels:
+@lru_cache(maxsize=16)
+def _check_labels(labels: tuple[str, ...]) -> None:
+    """Refuse a leaf set with a label that Newick cannot hold; a set that
+    passes is remembered, so a stream of trees checks it once."""
+    if _BAD_LABEL_CHAR.search("".join(labels)):
+        for label in labels:
             if _BAD_LABEL_CHAR.search(label):
                 raise QuartetError(f"label {label!r} cannot be written in this format")
-    # smallest first, so every cluster inside m is written before m, and
-    # the root, the full mask, last; reps holds the smallest leaf of each
+
+
+def serialize_newick(tree: PhyloTree) -> str:
+    """Canonical Newick for the tree, invertible by parse_newick."""
+    labels = tree.leaves.labels
+    if len(labels) < 3:
+        raise TooFewLeavesError("serialisation needs at least three leaves")
+    _check_labels(labels)
+    # ascending, so every cluster inside m is written before m, and the
+    # root, the full mask, last; reps holds the smallest leaf of each
     # part written so far, and a written cluster's text sits at the slot
-    # of its smallest leaf
-    full = leaves.full_mask()
-    piece = list(leaves.labels)
+    # of its smallest leaf, which is also m's smallest leaf
+    full = (1 << len(labels)) - 1
+    piece = list(labels)
     reps = full
-    for m in sorted(tree.masks, key=int.bit_count) + [full]:
-        parts = []
-        rest = m & reps
-        while rest:
-            low = rest & -rest
-            parts.append(piece[low.bit_length() - 1])
-            rest ^= low
+    for m in tree.masks + (full,):
         low = m & -m
-        piece[low.bit_length() - 1] = "(" + ",".join(parts) + ")"
+        first = low.bit_length() - 1
+        parts = [piece[first]]
+        rest = m & reps ^ low
+        while rest:
+            bit = rest & -rest
+            parts.append(piece[bit.bit_length() - 1])
+            rest ^= bit
+        piece[first] = "(" + ",".join(parts) + ")"
         reps = reps & ~m | low
     return piece[0] + ";"

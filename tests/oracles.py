@@ -3,19 +3,31 @@
 Nothing here imports the package's enumeration internals: the counts
 come from closed forms and a standalone recurrence, and displayers come
 from a split-system backtrack, so an agreement failure points at the
-implementation, not at a shared bug. The reference quartet-file reader
-is the one exception: it builds the package's own QuartetSet and raises
-its error classes, so that its answers compare with the package's whole.
+implementation, not at a shared bug. The reference readers, of quartet
+files and of Newick, are the exceptions: they build the package's own
+QuartetSet or PhyloTree and raise its error classes, so that their
+answers compare with the package's whole.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+import re
 from functools import lru_cache
 from itertools import combinations
 
-from quartets import DuplicateLeafError, LeafSet, ParseError, QuartetSet, make_quartet
+from quartets import (
+    DuplicateLeafError,
+    InteriorLabelError,
+    LeafSet,
+    ParseError,
+    PhyloTree,
+    QuartetSet,
+    TooFewLeavesError,
+    make_quartet,
+)
+from quartets.model import _canonical, _move_mask
 
 
 def binary_tree_count(n: int) -> int:
@@ -152,6 +164,97 @@ def reference_newick(labels: list[str], sides) -> str:
         return "(" + ",".join(write(c) for c in sorted(children[part], key=min)) + ")"
 
     return write(everyone) + ";"
+
+
+_BAD_LABEL_CHAR = re.compile(r"[():,;|#\s]")
+_SPACE = re.compile(r"\s*")
+_LENGTH = re.compile(r"[0-9.+\-eE]*")
+
+
+def reference_parse_newick(text: str) -> PhyloTree:
+    """parse_newick as it was written before clusters became label
+    ranges: each open cluster ORs in the bit of every leaf read under it,
+    and the masks move onto the sorted leaf order bit by bit.
+
+    Branch lengths are accepted and dropped. Labels on interior vertices
+    are an error rather than silently discarded data.
+    """
+    pos = 0
+    end = len(text)
+    labels: list[str] = []
+    clusters: list[int] = []  # bit masks over label-appearance order
+    nest: list[int] = []  # the leaves read so far under each open '('
+    # whitespace is rare, so each skip over it first tests one character
+    while True:
+        # a subtree starts at pos
+        if text[pos:pos + 1].isspace():
+            pos = _SPACE.match(text, pos).end()
+        if pos >= end:
+            raise ParseError("unexpected end of input", position=pos)
+        if text[pos] == "(":
+            nest.append(0)
+            pos += 1
+            continue
+        start = pos
+        stop = _BAD_LABEL_CHAR.search(text, pos)
+        pos = stop.start() if stop else end
+        if pos == start:
+            raise ParseError("expected a leaf label", position=pos)
+        labels.append(text[start:pos])
+        below = 1 << (len(labels) - 1)
+        # the subtree below ends at pos: read its length, then close every
+        # cluster that ends with it, until a ',' opens the next subtree
+        while True:
+            if text[pos:pos + 1].isspace():
+                pos = _SPACE.match(text, pos).end()
+            if pos < end and text[pos] == ":":
+                start = _SPACE.match(text, pos + 1).end()
+                pos = _LENGTH.match(text, start).end()
+                try:
+                    float(text[start:pos])
+                except ValueError:
+                    raise ParseError(
+                        "expected a numeric branch length after ':'", position=start
+                    ) from None
+                pos = _SPACE.match(text, pos).end()
+            if not nest:
+                break
+            nest[-1] |= below
+            if pos < end and text[pos] == ",":
+                pos += 1
+                break
+            if pos >= end or text[pos] != ")":
+                raise ParseError("expected ')' or ','", position=pos)
+            pos += 1
+            if text[pos:pos + 1].isspace():
+                pos = _SPACE.match(text, pos).end()
+            if pos < end and text[pos] not in ":,();":
+                raise InteriorLabelError(
+                    "labels on interior vertices are not supported", position=pos
+                )
+            below = nest.pop()
+            clusters.append(below)
+        if not nest:
+            break
+    if pos >= end or text[pos] != ";":
+        raise ParseError("expected ';'", position=pos)
+    pos = _SPACE.match(text, pos + 1).end()
+    if pos != end:
+        raise ParseError("trailing text after ';'", position=pos)
+    leaves = LeafSet.from_labels(labels)
+    n = leaves.n
+    if n < 3:
+        raise TooFewLeavesError("a tree needs at least three leaves")
+    full = leaves.full_mask()
+    # appearance order -> bit of the label's sorted index
+    bit = [1 << leaves.index(label) for label in labels]
+    masks = []
+    for cluster in clusters:
+        m = _move_mask(cluster, bit)
+        if 2 <= m.bit_count() <= n - 2:
+            masks.append(_canonical(m, full))
+    # clusters of a nesting are laminar, so the splits are compatible
+    return PhyloTree(leaves, masks)
 
 
 reference_log = logging.getLogger("oracles.quartetfile")

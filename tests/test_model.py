@@ -84,6 +84,21 @@ class TestLeafSet:
         expected = tuple(sorted(mixed, key=_natural_key_by_regex))
         assert LeafSet.from_labels(mixed).labels == expected
 
+    def test_all_decimal_labels_sort_as_natural_key_sorts_them(self):
+        # the sets whose labels are all decimal, which sort without a key:
+        # leading zeros tie on the number, and non-ASCII digits count too
+        rng = random.Random(32)
+        for labels in (
+            ["7", "07", "007", "10", "0", "1", "01", "70"],
+            ["٣", "१२", "3", "12", "03", "٠٣", "2"],
+            [str(rng.randrange(200)).zfill(rng.randint(1, 4)) for _ in range(40)],
+        ):
+            labels = list(dict.fromkeys(labels))
+            for _ in range(5):
+                rng.shuffle(labels)
+                expected = tuple(sorted(labels, key=_natural_key_by_regex))
+                assert LeafSet(tuple(labels)).labels == expected
+
     def test_index_label_bijection(self):
         ls = integer_leaves(8)
         for i, label in enumerate(ls.labels):

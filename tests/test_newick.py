@@ -6,7 +6,7 @@ import re
 from string import ascii_lowercase
 
 import pytest
-from oracles import reference_newick
+from oracles import reference_newick, reference_parse_newick
 
 from quartets import (
     DuplicateLeafError,
@@ -174,11 +174,62 @@ class TestParse:
             parse_newick("(1,2,(3,4)); junk")
         assert "position" in str(info.value)
 
+    def test_edited_texts_read_as_the_reference_reads_them(self):
+        # seeded edits of the texts of every tree on 7 leaves: each text
+        # must give the reference reader's tree, or its exception class,
+        # message and position (about 0.25 s on a 2-core host)
+        texts = [serialize_newick(t) for t in enumerate_trees(7, "all")]
+        rng = random.Random(32)
+        alphabet = "(),;:|# \t\u20030123456789.+-eEabx"
+        lengths = ["1", "1e-3", "+2", "", "x"]
+
+        def edit(text):
+            at = rng.randrange(len(text) + 1)
+            kind = rng.randrange(7)
+            if kind == 0:
+                return text[:at] + rng.choice(alphabet) + text[at:]
+            if kind == 1:
+                return text[:at] + text[at + 1:]
+            if kind == 2:
+                return text[:at] + rng.choice(alphabet) + text[at + 1:]
+            if kind == 3:
+                return text[:at] + rng.choice([" ", "\n", "\u3000 "]) + text[at:]
+            if kind == 4:
+                # a branch length after a leaf or a ')'
+                ends = [i + 1 for i, ch in enumerate(text) if ch not in "(,;"]
+                at = rng.choice(ends)
+                return text[:at] + ":" + rng.choice(lengths) + text[at:]
+            if kind == 5:
+                return text[:at] + rng.choice("|#") + text[at:]
+            # a leaf under a new pair of parentheses, or a label renamed
+            return text.replace("5", rng.choice(["(5)", "5a", "1", "07"]), 1)
+
+        def outcome(read, text):
+            try:
+                return read(text)
+            except Exception as exc:
+                return type(exc), str(exc), getattr(exc, "position", None)
+
+        trees = 0
+        for i in range(6000):
+            text = texts[i % len(texts)]
+            for _ in range(rng.randint(1, 3)):
+                text = edit(text)
+            want = outcome(reference_parse_newick, text)
+            assert outcome(parse_newick, text) == want, text
+            trees += isinstance(want, PhyloTree)
+        # about a quarter of the edited texts still read as trees
+        assert 1000 < trees < 3000
+
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
-    @pytest.mark.parametrize("mode", ["binary", "all"])
-    def test_every_small_tree_survives(self, n, mode):
+    @pytest.mark.parametrize(
+        "mode, n",
+        [(mode, n) for mode in ("binary", "all") for n in (4, 5, 6, 7)] + [("all", 8)],
+    )
+    def test_every_small_tree_survives(self, mode, n):
+        # at 8 leaves, the 39,208 trees of the benchmark's walk (about 1.2 s
+        # on a 2-core host)
         for tree in enumerate_trees(n, mode):
             assert parse_newick(serialize_newick(tree)) == tree
 
