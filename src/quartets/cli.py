@@ -267,7 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quartets", required=True, metavar="FILE")
     p.add_argument("--mode", choices=("fast", "oracle"), default="fast")
     p.add_argument("--json", action="store_true")
-    _add_cap(p, "the scans past the 8-leaf index deciding the set and its removals")
+    _add_cap(
+        p,
+        "the scans past the 8-leaf index deciding the set and its removals; "
+        "with --mode oracle it also bounds the oracle itself, which refuses "
+        "a set on more leaves than the cap, however few",
+    )
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("display", help="does a tree display one quartet")

@@ -84,16 +84,20 @@ quartet: q's witness is the first tree of the binary walk over Q minus
 q that does not display q. The scan cap bounds only these walks; the
 index is bounded by _INDEX_LEAVES alone.
 
-_binary_walk, decide's only walk, serves the fast route past the index:
-the scan, and one walk per open quartet for the minimality witnesses.
-It prunes before it builds: leaf k goes only into edges where the child
+Every walk here is enumeration's _grow, the one depth-first walk of the
+stream, and supplies only the children of a tree, so each keeps stream
+order. _binary_walk serves the fast route past the index: the scan, and
+one walk per open quartet for the minimality witnesses. It prunes
+before it builds: leaf k goes only into edges where the child
 displays the quartets whose largest leaf is k, and, at the level of the
 largest leaf of a quartet to avoid, only into edges where it does not.
 It also looks ahead: a tree is dropped as soon as some later leaf w has
 no edge admitting every quartet xy|zw whose x, y and z are placed,
 since every tree grown from it hangs w on one of its edges. Its
 docstring gives both arguments. displayers, semantic_infers, and the
-oracle past the index read the filtered enumeration stream instead.
+oracle past the index read _oracle_displayers, the filtered enumeration
+stream, instead: it keeps the children that display the quartets whose
+largest leaf they have just received, and uses nothing of the walk's.
 """
 
 from __future__ import annotations
@@ -109,7 +113,9 @@ from .enumeration import (
     _check_cap,
     _check_mode,
     _check_size,
+    _children,
     _edges,
+    _grow,
     _insert,
     _stream_masks,
     count_trees,
@@ -254,10 +260,10 @@ def _binary_walk(
     some w, is dropped. When a leaf is inserted, an edge that admitted
     them still does, or one of its two halves does, so only a w that has
     just gained such a quartet is checked.
+
+    The walk is _grow's: this supplies only the children of a tree, the
+    ones its kept edges give.
     """
-    if n == 3:
-        yield ()  # the star, the only tree on three leaves
-        return
     levels: dict[int, list[tuple[int, int]]] = defaultdict(list)
     # by largest leaf w, the quartets xy|zw that are ready, x, y and z all
     # placed, at a node before the one inserting w
@@ -275,28 +281,21 @@ def _binary_walk(
         for level in {ready for ready, _, _ in tests}:
             ahead[level].append([(z, xy) for ready, z, xy in tests if ready <= level])
     avoided, avoid_test = _insertion_test(avoid) if avoid is not None else (None, None)
-    stack: list[tuple[tuple[int, ...], int]] = [((), 3)]
-    while stack:
-        splits, k = stack.pop()
+
+    def children(splits: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
         # each lookahead group, then the tests that prune here, must leave
         # an edge
         edges = _edges(splits, k)
         for tests in (*ahead.get(k, ()), levels.get(k, ())):
             kept = _admissible(edges, splits, k, tests)
             if not kept:
-                break
-        if not kept:
-            continue  # some later leaf has no edge left to go into, or k has none
+                return []  # some later leaf has no edge left to go into, or k has none
         if k == avoided:
             shown = set(_admissible(kept, splits, k, (avoid_test,)))
             kept = [u for u in kept if u not in shown]
-            if not kept:
-                continue
-        children = _insert(splits, k, kept)
-        if k == n - 1:
-            yield from children
-        else:
-            stack.extend((child, k + 1) for child in reversed(children))
+        return _insert(splits, k, kept)
+
+    return _grow(n, children)
 
 
 def _check_scan(n: int, cap: int | None, lead: str) -> None:
@@ -424,14 +423,23 @@ def _oracle_displayers(
 
     The enumeration stream itself, filtered as it grows: each tree is
     tested against the quartets whose largest leaf it has just received,
-    and one that fails is dropped with every tree grown from it.
+    and one that fails is dropped with every tree grown from it. The
+    walk is _grow's: this supplies only the children, those of
+    _children that display the quartets of their level.
     """
     n = qs.leaves.n
     _check_size(n, mode, cap)
+    all_mode = mode == "all"
     levels: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for q in qs.sorted_quartets():
         levels[max(q.b, q.d)].append(q.pair_masks())
-    return _stream_masks(n, mode, levels)
+
+    def children(splits: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+        found = _children(splits, k, all_mode)
+        pairs = levels.get(k)
+        return [c for c in found if _displays_masks(c, pairs)] if pairs else found
+
+    return _grow(n, children)
 
 
 def _pairs(qs: QuartetSet) -> list[tuple[int, int]]:

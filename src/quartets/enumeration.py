@@ -20,6 +20,11 @@ Insertion positions are scanned in a fixed order (edge masks ascending,
 then the root-end vertex, then per-split vertices by ascending mask), so
 the stream order is deterministic and restarting reproduces it.
 
+Every stream grows through the one depth-first walk, _grow, and each
+caller supplies only the children of a tree. The streams here keep them
+all; a caller that prunes leaves some out, and a tree left out grows
+nothing, so the survivors keep their stream order.
+
 A k-leaf tree with s splits has k + s edges and, in "all" mode, s + 1
 interior vertices, one child per position. count_trees therefore reads
 the stream only to n-1 leaves and sums those positions: that is the
@@ -29,14 +34,13 @@ size of the stream on n leaves, with its last level never built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Callable, Iterator, Literal
 
 from .errors import QuartetError, TooFewLeavesError, TooManyLeavesError
 from .model import (
     MAX_LEAVES,
     LeafSet,
     PhyloTree,
-    _displays_masks,
     _unchecked_tree,
     integer_leaves,
 )
@@ -152,30 +156,38 @@ def _positions(splits: tuple[int, ...], k: int, all_mode: bool) -> int:
     return edges + 1 + len(splits) if all_mode else edges
 
 
-def _stream_masks(
-    n: int, mode: Mode, levels: dict[int, list[tuple[int, int]]] | None = None
+def _grow(
+    n: int, children: Callable[[tuple[int, ...], int], list[tuple[int, ...]]]
 ) -> Iterator[tuple[int, ...]]:
-    """Yield split-mask tuples of every tree on leaf indices 0..n-1.
+    """Yield the trees on leaf indices 0..n-1 that children grows, depth
+    first in stream order: the one walk every tree stream goes through.
 
-    With levels, a tree that has just received leaf k and fails to display
-    the pair masks levels[k] is dropped with every tree grown from it.
+    children(splits, k) gives the trees that inserting leaf k into the
+    tree on leaves 0..k-1 gives, in position order, or the ones of them
+    a caller keeps. A tree it leaves out grows nothing, so pruning drops
+    its whole subtree and keeps the survivors in stream order.
     """
-    all_mode = mode == "all"
     if n == 3:
-        yield ()
+        yield ()  # the star, the only tree on three leaves
         return
     stack: list[tuple[tuple[int, ...], int]] = [((), 3)]
     while stack:
         splits, k = stack.pop()
-        children = _children(splits, k, all_mode)
-        pairs = levels.get(k) if levels else None
-        if pairs:
-            children = [c for c in children if _displays_masks(c, pairs)]
+        found = children(splits, k)
         if k == n - 1:
-            yield from children
+            yield from found
         else:
-            for child in reversed(children):
+            for child in reversed(found):
                 stack.append((child, k + 1))
+
+
+def _stream_masks(n: int, mode: Mode) -> Iterator[tuple[int, ...]]:
+    """Yield split-mask tuples of every tree on leaf indices 0..n-1.
+
+    _grow with every child of _children: this supplies the children only.
+    """
+    all_mode = mode == "all"
+    return _grow(n, lambda splits, k: _children(splits, k, all_mode))
 
 
 @dataclass(frozen=True)

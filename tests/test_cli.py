@@ -128,6 +128,20 @@ class TestCheck:
         assert out.stderr == ""
         assert out.stdout == run("check", "--quartets", Q7).stdout
 
+    def test_an_oracle_check_past_the_cap_is_refused(self):
+        # unlike the fast run, the oracle refuses any set past the cap,
+        # even one the 8-leaf index would answer
+        out = run("check", "--mode", "oracle", "--cap", "6", "--quartets", Q7)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == "error: 7 leaves exceeds the enumeration cap 6 for mode 'all'\n"
+
+    def test_cap_help_names_the_oracle(self):
+        out = run("check", "--help")
+        assert out.returncode == 0
+        text = " ".join(out.stdout.split())
+        assert "--mode oracle it also bounds the oracle itself" in text
+
     def test_a_cap_below_three_is_refused(self):
         out = run("check", "--quartets", Q7, "--cap", "-3")
         assert out.returncode == 2
