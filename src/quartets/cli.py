@@ -27,8 +27,8 @@ from .decide import (
     semantic_infers,
 )
 from .enumeration import ALL_CAP, count_trees, enumerate_trees
-from .errors import ParseError, QuartetError
-from .model import LeafSet, integer_leaves, make_quartet, displays
+from .errors import ParseError, QuartetError, TooManyLeavesError
+from .model import MAX_LEAVES, LeafSet, integer_leaves, make_quartet, displays
 from .newick import parse_newick, serialize_newick
 from .quartetfile import parse_quartet_file, parse_quartet_text, serialize_quartet_set
 from .search import run_search
@@ -146,10 +146,18 @@ def _cmd_enumerate(args) -> int:
     cap = args.cap
     if cap is None:
         cap = _CLI_BINARY_CAP if mode == "binary" else ALL_CAP
-    if args.count_only:
-        print(count_trees(args.n, mode, cap=cap))
-        return 0
-    for tree in enumerate_trees(integer_leaves(args.n), mode, cap=cap):
+    try:
+        if args.count_only:
+            print(count_trees(args.n, mode, cap=cap))
+            return 0
+        stream = enumerate_trees(integer_leaves(args.n), mode, cap=cap)
+    except TooManyLeavesError as exc:
+        # the library hints at no override of a cap it is given, and the
+        # default cap is given; name the flag unless the model's cap refused
+        if args.cap is None and args.n <= MAX_LEAVES:
+            raise TooManyLeavesError(f"{exc}; pass --cap to override") from None
+        raise
+    for tree in stream:
         print(serialize_newick(tree))
     return 0
 

@@ -26,9 +26,11 @@ all; a caller that prunes leaves some out, and a tree left out grows
 nothing, so the survivors keep their stream order.
 
 A k-leaf tree with s splits has k + s edges and, in "all" mode, s + 1
-interior vertices, one child per position. count_trees therefore reads
-the stream only to n-1 leaves and sums those positions: that is the
-size of the stream on n leaves, with its last level never built.
+interior vertices, one child per position. Each edge child has s + 1
+splits and each vertex child s, so the number of grandchildren follows
+from k and s alone. count_trees therefore reads the stream only to n-2
+leaves and sums each tree's grandchildren: that is the size of the
+stream on n leaves, with its last two levels never built.
 """
 
 from __future__ import annotations
@@ -146,14 +148,33 @@ def _children(splits: tuple[int, ...], k: int, all_mode: bool) -> list[tuple[int
     return children
 
 
-def _positions(splits: tuple[int, ...], k: int, all_mode: bool) -> int:
-    """How many trees _children(splits, k, all_mode) returns, building none.
+def _positions(k: int, s: int, all_mode: bool) -> int:
+    """How many trees _children returns for a tree on k leaves with s
+    splits, building none.
 
     One per edge: k pendant edges and one per split. "all" mode adds one
     per interior vertex: the root end and one per split.
     """
-    edges = k + len(splits)
-    return edges + 1 + len(splits) if all_mode else edges
+    edges = k + s
+    return edges + 1 + s if all_mode else edges
+
+
+def _grandchildren(k: int, s: int, all_mode: bool) -> int:
+    """How many trees a tree on k leaves with s splits grows by inserting
+    leaves k and k+1, building none.
+
+    Subdividing an edge adds one split, so each of the tree's
+    _positions(k, s, False) edge children has s + 1 splits; attaching to
+    a vertex moves splits but adds none, so each of its other children,
+    the vertex ones of "all" mode, has s. Each child then has its own
+    _positions on k + 1 leaves.
+    """
+    edges = _positions(k, s, False)
+    vertices = _positions(k, s, all_mode) - edges
+    return (
+        edges * _positions(k + 1, s + 1, all_mode)
+        + vertices * _positions(k + 1, s, all_mode)
+    )
 
 
 def _grow(
@@ -237,15 +258,20 @@ def enumerate_trees(
 def count_trees(n: int, mode: Mode = "binary", *, cap: int | None = None) -> int:
     """Count the trees the stream yields on n leaves.
 
-    The stream's last level is one child per insertion position of leaf
-    n-1 in each tree on n-1 leaves, so the count reads the stream to n-1
-    leaves and adds each tree's _positions, without building the last
-    level. It still walks the stream rather than evaluating a formula,
-    so it can serve as one side of closed-form cross-checks.
+    The stream's last two levels are the trees that inserting leaves n-2
+    and n-1 gives each tree on n-2 leaves, and their number depends only
+    on that tree's split count (_grandchildren). So the count reads the
+    stream to n-2 leaves and adds each tree's _grandchildren, without
+    building the last two levels. It still walks the stream rather than
+    evaluating a formula, so it can serve as one side of closed-form
+    cross-checks.
     """
     _check_mode(mode)
     _check_size(n, mode, cap)
     if n == 3:
         return 1
     all_mode = mode == "all"
-    return sum(_positions(s, n - 1, all_mode) for s in _stream_masks(n - 1, mode))
+    if n == 4:
+        return _positions(3, 0, all_mode)  # the children of the star
+    k = n - 2
+    return sum(_grandchildren(k, len(s), all_mode) for s in _stream_masks(k, mode))

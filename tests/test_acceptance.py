@@ -151,8 +151,8 @@ def test_criterion_05_definitive_sets_behave(announce, monkeypatch):
 
 def test_criterion_06_enumeration_counts(announce):
     with announce("6 enumeration counts", limit=60.0):
-        pinned_binary = [3, 15, 105, 945, 10395, 135135, 2027025, 34459425]
-        for n, expected in zip(range(4, 12), pinned_binary):
+        pinned_binary = [3, 15, 105, 945, 10395, 135135, 2027025, 34459425, 654729075]
+        for n, expected in zip(range(4, 13), pinned_binary, strict=True):
             assert oracles.binary_tree_count(n) == expected
             assert count_trees(n, "binary", cap=12) == expected
         assert [oracles.all_tree_count(n) for n in range(4, 10)] == [

@@ -211,6 +211,37 @@ class TestEnumerate:
         assert out.returncode == 2
         assert out.stderr.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flags, cap, mode",
+        [
+            (["--binary", "--count-only"], 10, "binary"),
+            (["--binary"], 10, "binary"),
+            (["--count-only"], 9, "all"),
+        ],
+        ids=["binary-count", "binary-listing", "all-count"],
+    )
+    def test_default_cap_refusal_names_the_flag(self, flags, cap, mode):
+        out = run("enumerate", "--n", "11", *flags)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == (
+            f"error: 11 leaves exceeds the enumeration cap {cap} for mode "
+            f"'{mode}'; pass --cap to override\n"
+        )
+
+    def test_explicit_cap_refusal_is_unchanged(self):
+        out = run("enumerate", "--n", "11", "--binary", "--count-only", "--cap", "10")
+        assert out.returncode == 2
+        assert out.stderr == (
+            "error: 11 leaves exceeds the enumeration cap 10 for mode 'binary'\n"
+        )
+
+    def test_model_cap_refusal_has_no_flag_hint(self):
+        # no --cap reaches past the 64-leaf cap, so none is suggested
+        out = run("enumerate", "--n", "70", "--count-only")
+        assert out.returncode == 2
+        assert out.stderr == "error: 70 leaves exceeds the 64-leaf cap\n"
+
     def test_closed_pipe_is_quiet(self):
         # the reader takes one line and goes, as `head -1` does; the rest
         # of the listing is far more than a pipe buffer holds

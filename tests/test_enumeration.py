@@ -22,7 +22,14 @@ from quartets import (
 )
 from quartets import enumeration
 from quartets.decide import _binary_walk, _oracle_displayers
-from quartets.enumeration import _children, _edges, _insert, _positions, _stream_masks
+from quartets.enumeration import (
+    _children,
+    _edges,
+    _grandchildren,
+    _insert,
+    _positions,
+    _stream_masks,
+)
 from quartets.model import _displays_masks
 
 
@@ -53,20 +60,45 @@ def test_positions_count_the_children(m, mode):
     # position of every tree it yields
     all_mode = mode == "all"
     for splits in _stream_masks(m, mode):
-        assert len(_children(splits, m, all_mode)) == _positions(splits, m, all_mode)
+        children = _children(splits, m, all_mode)
+        assert len(children) == _positions(m, len(splits), all_mode)
+
+
+@pytest.mark.parametrize("mode", ["binary", "all"])
+@pytest.mark.parametrize("m", range(3, 9))
+def test_child_split_counts(m, mode):
+    # the second level of count_trees rests on this: every edge child
+    # gains one split, and every vertex child keeps the count
+    all_mode = mode == "all"
+    for splits in _stream_masks(m, mode):
+        children = _children(splits, m, all_mode)
+        edges = _positions(m, len(splits), False)
+        assert all(len(c) == len(splits) + 1 for c in children[:edges])
+        assert all(len(c) == len(splits) for c in children[edges:])
+
+
+@pytest.mark.parametrize("mode", ["binary", "all"])
+@pytest.mark.parametrize("m", range(3, 8))
+def test_grandchildren_count_two_levels(m, mode):
+    all_mode = mode == "all"
+    for splits in _stream_masks(m, mode):
+        children = _children(splits, m, all_mode)
+        built = sum(len(_children(c, m + 1, all_mode)) for c in children)
+        assert _grandchildren(m, len(splits), all_mode) == built
 
 
 class TestCountWork:
-    """How many trees a count builds, pinned so that building the last
-    level again fails here instead of only running slower."""
+    """How many trees a count builds, pinned so that building either of
+    the last two levels again fails here instead of only running slower."""
 
     @pytest.mark.parametrize(
         "n, mode, built",
         [
-            # the trees on 4..9 leaves; building the last level too
-            # would make it 2,173,623
-            (10, "binary", 146598),
-            (8, "all", 4 + 26 + 236 + 2752),
+            # the trees on 4..8 leaves; building the level on 9 leaves
+            # too would make it 146,598
+            (10, "binary", 11463),
+            (8, "all", 4 + 26 + 236),
+            (5, "all", 0),
             (4, "binary", 0),
         ],
     )
