@@ -26,7 +26,7 @@ from .decide import (
     minimality_report,
     semantic_infers,
 )
-from .enumeration import ALL_CAP, count_trees, enumerate_trees
+from .enumeration import _CAP_HINT, ALL_CAP, count_trees, enumerate_trees
 from .errors import ParseError, QuartetError, TooManyLeavesError
 from .model import MAX_LEAVES, LeafSet, integer_leaves, make_quartet, displays
 from .newick import parse_newick, serialize_newick
@@ -35,6 +35,8 @@ from .search import run_search
 
 # command-line default binary enumeration ceiling, tighter than the library's
 _CLI_BINARY_CAP = 10
+# what a refusal by a default cap ends with on the command line
+_CAP_FLAG_HINT = "; pass --cap to override"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,7 +157,7 @@ def _cmd_enumerate(args) -> int:
         # the library hints at no override of a cap it is given, and the
         # default cap is given; name the flag unless the model's cap refused
         if args.cap is None and args.n <= MAX_LEAVES:
-            raise TooManyLeavesError(f"{exc}; pass --cap to override") from None
+            raise TooManyLeavesError(f"{exc}{_CAP_FLAG_HINT}") from None
         raise
     for tree in stream:
         print(serialize_newick(tree))
@@ -350,7 +352,11 @@ def run(body, args) -> int:
     except BrokenPipeError:
         code = 1
     except (QuartetError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if getattr(args, "cap", 0) is None and message.endswith(_CAP_HINT):
+            # a command's default cap refused: name the flag that lifts it
+            message = message[: -len(_CAP_HINT)] + _CAP_FLAG_HINT
+        print(f"error: {message}", file=sys.stderr)
         code = 2
     try:
         sys.stdout.flush()  # what was printed before an input error still goes out

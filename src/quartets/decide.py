@@ -71,33 +71,38 @@ its 119 split rows, at most 210 quartet rows and its table, the binary
 index takes about 0.5 MB and the all-tree index about 1.8 MB. Each is
 built once per process.
 
-minimality_report's removal witnesses start with the edge check: a
-loose edge of the defined tree T, left when q is dropped, is q's
-witness. Otherwise any binary tree displaying Q minus q and q is T, so
-q's witness is the first tree in stream order that misses q alone, and
-q is redundant when there is none. The index reads it directly: the
-lowest set bit of the AND of the other rows with q's row cleared. Past
-the index, q is first marked redundant without a scan when, in the
-closure of Q minus q, the quartets holding one leaf pin every edge of T:
-by the theorem above they define T. The rest get one walk per open
-quartet: q's witness is the first tree of the binary walk over Q minus
-q that does not display q. The scan cap bounds only these walks; the
-index is bounded by _INDEX_LEAVES alone.
+minimality_report's removal witnesses start with the edge check: a loose
+edge of the defined tree T, left when q is dropped, is q's witness.
+Otherwise any binary tree displaying Q minus q and q is T, so q's
+witness is the first tree in stream order that misses q alone, and q is
+redundant when there is none. The index reads it directly: the lowest of
+the trees that miss exactly one quartet, less q's row. One pass over the
+rows ORs up the trees that miss at least one quartet and those that miss
+at least two, and the first less the second are the trees that miss
+exactly one, for every q at once. Past the index, q is first marked
+redundant without a scan when, in the closure of Q minus q, the quartets
+holding one leaf pin every edge of T: by the theorem above they define
+T. The rest get one walk per open quartet: q's witness is the first tree
+of the binary walk over Q minus q that does not display q. The scan cap
+bounds only these walks; the index is bounded by _INDEX_LEAVES alone.
 
+Every route here takes the quartets in one form: a list of their pair
+masks (p1, p2) in normal form, and the leaf count n. The public
+functions convert a quartet set to it, and no route converts it again.
 Every walk here is enumeration's _grow, the one depth-first walk of the
 stream, and supplies only the children of a tree, so each keeps stream
 order. _binary_walk serves the fast route past the index: the scan, and
-one walk per open quartet for the minimality witnesses. It prunes
-before it builds: leaf k goes only into edges where the child
-displays the quartets whose largest leaf is k, and, at the level of the
-largest leaf of a quartet to avoid, only into edges where it does not.
-It also looks ahead: a tree is dropped as soon as some later leaf w has
-no edge admitting every quartet xy|zw whose x, y and z are placed,
-since every tree grown from it hangs w on one of its edges. Its
-docstring gives both arguments. displayers, semantic_infers, and the
-oracle past the index read _oracle_displayers, the filtered enumeration
-stream, instead: it keeps the children that display the quartets whose
-largest leaf they have just received, and uses nothing of the walk's.
+one walk per open quartet for the minimality witnesses. It prunes before
+it builds: leaf k goes only into edges where the child displays the
+quartets whose largest leaf is k, and, at the level of the largest leaf
+of a quartet to avoid, only into edges where it does not. It also looks
+ahead: a tree is dropped as soon as some later leaf w has no edge
+admitting every quartet xy|zw whose x, y and z are placed, since every
+tree grown from it hangs w on one of its edges. Its docstring gives both
+arguments. displayers, semantic_infers, and the oracle past the index
+read _oracle_displayers, the filtered enumeration stream, instead: it
+keeps the children that display the quartets whose largest leaf they
+have just received, and uses nothing of the walk's.
 """
 
 from __future__ import annotations
@@ -193,11 +198,11 @@ class MinimalityReport:
     n: int
 
 
-def _insertion_test(q: Quartet) -> tuple[int, tuple[int, int]]:
-    """Quartet xy|zk as its largest leaf k and the test (1<<z, xy mask)."""
-    if q.b > q.d:
-        return q.b, (1 << q.a, (1 << q.c) | (1 << q.d))
-    return q.d, (1 << q.c, (1 << q.a) | (1 << q.b))
+def _insertion_test(pair: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+    """Quartet xy|zk, as pair masks, as its largest leaf k and the test
+    (1<<z, xy mask): zk is the pair holding k."""
+    zk, xy = pair if pair[0] > pair[1] else pair[::-1]
+    return zk.bit_length() - 1, (zk & -zk, xy)
 
 
 def _outside(splits: tuple[int, ...], k: int, z: int, xy: int) -> int:
@@ -232,10 +237,11 @@ def _admissible(edges: list[int], splits: tuple[int, ...], k: int, tests) -> lis
 
 
 def _binary_walk(
-    quartets: list[Quartet], n: int, avoid: Quartet | None = None
+    pairs, n: int, avoid: tuple[int, int] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Finished binary trees on leaves 0..n-1 as masks, in stream order:
-    those displaying every quartet, and not avoid when it is given.
+    those displaying every quartet, and not avoid when it is given. The
+    quartets are pair masks and a leaf count.
 
     A depth-first walk of the binary stream that prunes before it builds:
     leaf k goes only into edges where the child displays the quartets
@@ -268,8 +274,8 @@ def _binary_walk(
     # by largest leaf w, the quartets xy|zw that are ready, x, y and z all
     # placed, at a node before the one inserting w
     early: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
-    for q in quartets:
-        k, (z, xy) = _insertion_test(q)
+    for pair in pairs:
+        k, (z, xy) = _insertion_test(pair)
         levels[k].append((z, xy))
         ready = (z | xy).bit_length()  # the first node whose tree holds x, y, z
         if ready < k:
@@ -389,25 +395,23 @@ class _Index:
             bits ^= low
         return count, found
 
-    def first_misses(self, pairs, indices) -> list[tuple[int, tuple[int, ...]]]:
-        """(i, masks) of the first tree that displays every quartet but
-        pairs[i], for each i in indices that has one, in stream order."""
+    def first_misses(self, pairs, indices) -> dict[int, tuple[int, ...]]:
+        """The masks of the first tree that displays every quartet but
+        pairs[i], by i, for each i in indices that has one: the lowest of
+        the trees that miss exactly one quartet, less pairs[i]'s row."""
         rows = [self.row(pair) for pair in pairs]
-        before = []  # before[i]: the trees displaying pairs[:i]
-        bits = self.every
+        once = twice = 0  # the trees missing at least one quartet, and two
         for row in rows:
-            before.append(bits)
-            bits &= row
-        wanted = set(indices)
-        after = self.every  # the trees displaying pairs[i + 1:]
-        found = []
-        for i in reversed(range(len(rows))):
-            if i in wanted:
-                missing = before[i] & after & ~rows[i]
-                if missing:
-                    found.append(((missing & -missing).bit_length() - 1, i))
-            after &= rows[i]
-        return [(i, self.tree(t)) for t, i in sorted(found)]
+            missed = self.every ^ row
+            twice |= once & missed
+            once |= missed
+        alone = once ^ twice
+        found = {}
+        for i in indices:
+            missing = alone & ~rows[i]
+            if missing:
+                found[i] = self.tree((missing & -missing).bit_length() - 1)
+        return found
 
 
 @lru_cache(maxsize=None)
@@ -417,9 +421,10 @@ def _index(n: int, mode: Mode) -> _Index:
 
 
 def _oracle_displayers(
-    qs: QuartetSet, cap: int | None, mode: Mode = "all"
+    pairs, n: int, cap: int | None, mode: Mode = "all"
 ) -> Iterator[tuple[int, ...]]:
-    """Every tree on qs's leaves displaying all of qs, in stream order.
+    """Every tree on leaves 0..n-1 displaying all the quartets, given as
+    pair masks and a leaf count, in stream order.
 
     The enumeration stream itself, filtered as it grows: each tree is
     tested against the quartets whose largest leaf it has just received,
@@ -427,12 +432,11 @@ def _oracle_displayers(
     walk is _grow's: this supplies only the children, those of
     _children that display the quartets of their level.
     """
-    n = qs.leaves.n
     _check_size(n, mode, cap)
     all_mode = mode == "all"
     levels: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for q in qs.sorted_quartets():
-        levels[max(q.b, q.d)].append(q.pair_masks())
+    for pair in pairs:
+        levels[max(pair).bit_length() - 1].append(pair)
 
     def children(splits: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
         found = _children(splits, k, all_mode)
@@ -529,18 +533,17 @@ def _build(leaves: int, triples: list[tuple[int, int]]) -> list[int] | None:
     return clusters
 
 
-def _closure_certificate(qs: QuartetSet) -> list[tuple[int, ...]] | None:
-    """Settle qs without a scan: its displayers' masks as defines reads them.
+def _closure_certificate(pairs, n: int) -> list[tuple[int, ...]] | None:
+    """Settle the quartets, given as pair masks and a leaf count, without
+    a scan: their displayers' masks as defines reads them.
 
     The certificate of the module docstring. For each leaf x in turn,
     the closed quartets holding x are read as rooted triples with root x
     (xc|ab becomes ab|c) and handed to BUILD. The first x whose BUILD
-    fails, or grows a binary tree T, settles qs: [T's masks] when T
-    displays qs, and [] otherwise. None means no leaf settled it.
+    fails, or grows a binary tree T, settles the set: [T's masks] when T
+    displays it, and [] otherwise. None means no leaf settled it.
     """
-    n = qs.leaves.n
     full = (1 << n) - 1
-    pairs = _pairs(qs)
     closed = _close_pairs(pairs)
     for x in range(n):
         bit = 1 << x
@@ -575,7 +578,7 @@ def displayers(
     if limit is not None and limit < 0:
         raise QuartetError(f"limit must be at least 0, got {limit}")
     ambient = leaves if leaves is not None else qs.leaves
-    stream = _oracle_displayers(qs.translate(ambient), cap, mode)
+    stream = _oracle_displayers(_pairs(qs.translate(ambient)), ambient.n, cap, mode)
     return [_unchecked_tree(ambient, masks) for masks in islice(stream, limit)]
 
 
@@ -636,28 +639,30 @@ def defines(
     _check_cap(cap)
     moved, ambient = _resolve_ambient(qs, leaves, allow_larger_ambient)
     n = ambient.n
+    pairs = _pairs(moved)
     if mode == "oracle":
         if n <= _INDEX_LEAVES:
             _check_size(n, "all", cap)
-            count, found = _index(n, "all").displayers(_pairs(moved), 2)
+            count, found = _index(n, "all").displayers(pairs, 2)
         else:
-            stream = _oracle_displayers(moved, cap)
+            stream = _oracle_displayers(pairs, n, cap)
             found = list(islice(stream, 2))
             count = len(found) + sum(1 for _ in stream)
     elif n <= _INDEX_LEAVES:
         count = None
-        _, found = _index(n, "binary").displayers(_pairs(moved), 2)
+        _, found = _index(n, "binary").displayers(pairs, 2)
     else:
         count = None
-        found = _closure_certificate(moved)
+        found = _closure_certificate(pairs, n)
         if found is None:
             _check_scan(
                 n,
                 cap,
-                f"the closure certificate did not settle {len(moved)} quartets on "
+                f"the closure certificate did not settle {len(pairs)} quartets on "
                 f"{n} leaves, and the binary scan it falls back on refuses them",
             )
-            found = list(islice(_binary_walk(moved.sorted_quartets(), n), 2))
+            # in a fixed order: the walk's answers do not depend on it, its work does
+            found = list(islice(_binary_walk(sorted(pairs), n), 2))
     examples = tuple(PhyloTree(ambient, m) for m in found)
     if not examples:
         return DefinitivenessVerdict(INCOMPATIBLE, None, 0, (), mode)
@@ -711,36 +716,37 @@ def minimality_report(
         return MinimalityReport(verdict, (), None, size, n)
     tree = verdict.tree
     quartets = qs.translate(tree.leaves).sorted_quartets()
-    witnesses = _removal_witnesses(quartets, tree, range(len(quartets)), cap)
+    pairs = [q.pair_masks() for q in quartets]
+    witnesses = _removal_witnesses(pairs, tree, range(len(pairs)), cap)
     entries = tuple((q, witnesses[i]) for i, q in enumerate(quartets))
     minimal = all(w.kind != "redundant" for w in witnesses.values())
     return MinimalityReport(verdict, entries, minimal, size, n)
 
 
 def _removal_witnesses(
-    quartets: list[Quartet], tree: PhyloTree, indices: Iterable[int], cap: int | None
+    pairs, tree: PhyloTree, indices: Iterable[int], cap: int | None
 ) -> dict[int, RemovalWitness]:
-    """The removal witness of quartets[i] for each i in indices, by index.
+    """The removal witness of pairs[i] for each i in indices, by index.
 
-    quartets are sorted, indexed against tree's leaves, and define tree.
+    pairs are the quartets as pair masks, in a fixed order, indexed
+    against tree's leaves, whose count is tree.n; they define tree.
     This is the one removal check. Its first step fixes the witness
     kind: an edge of tree that the rest leaves unpinned. The quartets pin
-    every edge, so that can only be quartets[i]'s own unique separator,
+    every edge, so that can only be pairs[i]'s own unique separator,
     when no other quartet pins it; one count of the quartets pinning
     each edge serves every index. On at most _INDEX_LEAVES leaves the
     index then gives each remaining index its first tree missing
-    quartets[i] alone, or marks it redundant. Past that, the closure of
-    the rest pinning every edge from one leaf makes quartets[i] redundant,
+    pairs[i] alone, or marks it redundant. Past that, the closure of
+    the rest pinning every edge from one leaf makes pairs[i] redundant,
     and one walk per open quartet, refused past the cap, settles the
     rest: the first tree of _binary_walk over the other quartets that
-    avoids quartets[i]. An index's witness depends only on the quartets,
+    avoids pairs[i]. An index's witness depends only on the quartets,
     so asking for fewer indices gives the same witnesses for those:
     minimality_report asks for every index, the strip in run_search for
     one.
     """
     n = tree.n
     masks = tree.masks
-    pairs = [q.pair_masks() for q in quartets]
     separators = [_unique_separator(masks, p1, p2) for p1, p2 in pairs]
     pins = Counter(separators)
     indexed = n <= _INDEX_LEAVES
@@ -762,16 +768,16 @@ def _removal_witnesses(
     if not left:
         return witnesses
     if indexed:
-        alternatives = dict(_index(n, "binary").first_misses(pairs, left))
+        alternatives = _index(n, "binary").first_misses(pairs, left)
     else:
         _check_scan(
             n,
             cap,
-            f"the minimality witnesses for {len(left)} of {len(quartets)} "
+            f"the minimality witnesses for {len(left)} of {len(pairs)} "
             f"quartets on {n} leaves need the binary scan, which refuses them",
         )
         alternatives = {
-            i: next(_binary_walk(quartets[:i] + quartets[i + 1 :], n, quartets[i]), None)
+            i: next(_binary_walk(pairs[:i] + pairs[i + 1 :], n, pairs[i]), None)
             for i in left
         }
     for i in left:
@@ -799,12 +805,10 @@ def semantic_infers(
     indexed against the quartet set's leaf set.
     """
     ambient = leaves if leaves is not None else qs.leaves
-    moved = qs.translate(ambient)
     (target,) = QuartetSet(qs.leaves, frozenset([q])).translate(ambient)
     query = [target.pair_masks()]
-    return all(
-        _displays_masks(masks, query) for masks in _oracle_displayers(moved, cap)
-    )
+    stream = _oracle_displayers(_pairs(qs.translate(ambient)), ambient.n, cap)
+    return all(_displays_masks(masks, query) for masks in stream)
 
 
 def inference_closure(qs: QuartetSet) -> QuartetSet:

@@ -51,6 +51,8 @@ Mode = Literal["binary", "all"]
 
 BINARY_CAP = 12  # 654,729,075 trees, the documented worst case
 ALL_CAP = 9  # 660,032 trees
+# ends a refusal by a default cap; the CLI names its flag in its place
+_CAP_HINT = "; pass an explicit cap to override"
 
 _MODES = ("binary", "all")
 
@@ -75,7 +77,7 @@ def _check_size(n: int, mode: str, cap: int | None) -> None:
     if n > limit:
         raise TooManyLeavesError(
             f"{n} leaves exceeds the enumeration cap {limit} for mode {mode!r}"
-            + ("" if cap is not None else "; pass an explicit cap to override")
+            + ("" if cap is not None else _CAP_HINT)
         )
 
 

@@ -172,10 +172,11 @@ def run_search(
             tree = report.verdict.tree
             redundant = [q for q, w in report.entries if w.kind == "redundant"]
             kept = [q for q, _ in report.entries if q != redundant[0]]
+            pairs = [q.pair_masks() for q in kept]
             for q in redundant[1:]:
                 i = kept.index(q)
-                if _removal_witnesses(kept, tree, (i,), cap)[i].kind == "redundant":
-                    del kept[i]
+                if _removal_witnesses(pairs, tree, (i,), cap)[i].kind == "redundant":
+                    del kept[i], pairs[i]
             settled = QuartetSet(leaves, frozenset(kept))
         key = settled.quartets
         if len(key) < target_size or key in seen:

@@ -8,7 +8,15 @@ import sys
 import pytest
 
 from conftest import DATA
-from quartets import displays, make_quartet, parse_newick, parse_quartet_file
+from quartets import (
+    displays,
+    make_quartet,
+    minimal_definitive_set,
+    parse_newick,
+    parse_quartet_file,
+    relabel,
+    serialize_quartet_set,
+)
 
 
 def run(*args):
@@ -393,6 +401,51 @@ class TestUsage:
         out = run(command, flag, str(f), *extra)
         assert out.returncode == 2
         assert out.stderr == f"error: {f} is not UTF-8 text: invalid continuation byte at byte 13\n"
+
+    _SCAN = "13 leaves exceeds the enumeration cap 12 for mode 'binary'"
+    _ORACLE = "error: 10 leaves exceeds the enumeration cap 9 for mode 'all'"
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                ("check", "--quartets", "swap13"),
+                "error: the closure certificate did not settle 18 quartets on 13 "
+                f"leaves, and the binary scan it falls back on refuses them: {_SCAN}",
+            ),
+            (
+                ("check", "--quartets", "set13"),
+                "error: the minimality witnesses for 8 of 18 quartets on 13 leaves "
+                f"need the binary scan, which refuses them: {_SCAN}",
+            ),
+            (("check", "--mode", "oracle", "--quartets", "set10"), _ORACLE),
+            (
+                ("search", "--n", "13", "--target-size", "15", "--budget", "20"),
+                "error: the closure certificate did not settle 15 quartets on 13 "
+                f"leaves, and the binary scan it falls back on refuses them: {_SCAN}",
+            ),
+            (("infer", "--semantic", "--query", "1,2|3,4", "--quartets", "set10"), _ORACLE),
+            (("verify-theorem", "--max-n", "10", "--oracle-max-n", "10"), _ORACLE),
+        ],
+        ids=["check-scan", "check-witnesses", "check-oracle", "search", "infer", "verify"],
+    )
+    def test_default_cap_refusal_names_the_flag(self, args, expected, tmp_path):
+        # the construction on 13 and 10 leaves, and on 13 with leaves 1 and 5
+        # swapped, which the certificate does not settle
+        sets = {"set13": minimal_definitive_set(13), "set10": minimal_definitive_set(10)}
+        labels = sets["set13"].leaves.labels
+        swap = dict(zip(labels, labels), **{"1": "5", "5": "1"})
+        sets["swap13"] = relabel(sets["set13"], swap)
+        named = []
+        for arg in args:
+            if arg in sets:
+                arg = tmp_path / f"{arg}.txt"
+                arg.write_text(serialize_quartet_set(sets[arg.stem]))
+            named.append(str(arg))
+        out = run(*named)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr == f"{expected}; pass --cap to override\n"
 
     def test_no_cap_reaches_past_the_model_cap(self):
         out = run("enumerate", "--n", "70", "--count-only", "--cap", "70")

@@ -332,7 +332,7 @@ class TestOneLeafsClosedTriples:
         # t6 does not display 1,3|2,5, and the set defines no tree: the
         # certificate declines, and the set has seven displayers
         qs = qset(leaves6, (1, 3, 2, 5), (1, 3, 4, 6), (1, 4, 5, 6))
-        assert decide._closure_certificate(qs) is None
+        assert decide._closure_certificate(decide._pairs(qs), qs.leaves.n) is None
         assert defines(qs).status == NOT_DEFINITIVE
         assert defines(qs, mode="oracle").displayer_count == 7
         assert t6 not in displayers(qs)
@@ -342,7 +342,7 @@ class TestOneLeafsClosedTriples:
         # three binary refinements display both quartets too: leaf 1's
         # BUILD tree is that non-binary tree, and the scan finds two
         qs = parse_quartet_file("1,2|3,4\n1,2|3,5\n")
-        assert decide._closure_certificate(qs) is None
+        assert decide._closure_certificate(decide._pairs(qs), qs.leaves.n) is None
         assert defines(qs).status == NOT_DEFINITIVE
         assert defines(qs, mode="oracle").displayer_count == 4
 
@@ -413,13 +413,13 @@ class TestOracleFastAgreement:
         walk = decide._binary_walk
         sole = []
 
-        def recording(quartets, *rest):
-            trees = list(walk(quartets, *rest))
+        def recording(pairs, *rest):
+            trees = list(walk(pairs, *rest))
             if len(trees) == 1:
-                sole.append((quartets, trees[0]))
+                sole.append((pairs, trees[0]))
             return iter(trees)
 
-        monkeypatch.setattr(decide, "_closure_certificate", lambda qs: None)
+        monkeypatch.setattr(decide, "_closure_certificate", lambda pairs, n: None)
         monkeypatch.setattr(decide, "_binary_walk", recording)
         definitive = 0
         for qs in _random_sets(n):
@@ -428,8 +428,7 @@ class TestOracleFastAgreement:
             assert (fast.status, fast.tree) == (oracle.status, oracle.tree)
             _assert_verdict_shape(fast, qs)
             definitive += fast.is_definitive
-        for quartets, masks in sole:
-            pairs = [q.pair_masks() for q in quartets]
+        for pairs, masks in sole:
             assert decide._undistinguished_masks(masks, pairs) == []
         assert len(sole) == definitive > 0
 
@@ -692,7 +691,7 @@ class TestClosureCertificate:
         for qs in self._inputs():
             oracle = defines(qs, qs.leaves, mode="oracle", allow_larger_ambient=True)
             statuses.add(oracle.status)
-            settled = decide._closure_certificate(qs)
+            settled = decide._closure_certificate(decide._pairs(qs), qs.leaves.n)
             if settled == []:
                 assert oracle.status == INCOMPATIBLE
                 certified.add(INCOMPATIBLE)
@@ -765,16 +764,16 @@ class TestClosureCertificate:
         # counts pin how much the certificate settles
         settled_by_status = {DEFINES: 0, INCOMPATIBLE: 0}
         for qs in self._differential_inputs():
-            settled = decide._closure_certificate(qs)
+            n = qs.leaves.n
+            settled = decide._closure_certificate(decide._pairs(qs), n)
             if settled is None:
                 continue
-            n = qs.leaves.n
             if n <= 9:
                 oracle = defines(qs, qs.leaves, mode="oracle", allow_larger_ambient=True)
                 expected = [oracle.tree] if oracle.is_definitive else []
                 assert oracle.status != NOT_DEFINITIVE
             else:
-                walk = decide._binary_walk(qs.sorted_quartets(), n)
+                walk = decide._binary_walk(sorted(decide._pairs(qs)), n)
                 expected = [PhyloTree(qs.leaves, m) for m in islice(walk, 2)]
             assert [PhyloTree(qs.leaves, m) for m in settled] == expected
             settled_by_status[DEFINES if settled else INCOMPATIBLE] += 1
@@ -784,7 +783,8 @@ class TestClosureCertificate:
     def test_dropping_a_quartet_defeats_it(self, n):
         qs = minimal_definitive_set(n)
         for q in qs.sorted_quartets():
-            assert decide._closure_certificate(qs.without_quartet(q)) is None
+            rest = qs.without_quartet(q)
+            assert decide._closure_certificate(decide._pairs(rest), n) is None
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_swapping_two_leaves_defeats_it(self, n):
@@ -799,7 +799,7 @@ class TestClosureCertificate:
             for j in range(i + 1, n):
                 sigma = dict(zip(labels, labels))
                 sigma[labels[i]], sigma[labels[j]] = labels[j], labels[i]
-                settled = decide._closure_certificate(relabel(qs, sigma))
+                settled = decide._closure_certificate(decide._pairs(relabel(qs, sigma)), n)
                 if settled is None:
                     continue
                 settled_count += 1
@@ -957,8 +957,8 @@ class TestAvoidWalk:
             misses = [_two_misses(masks, pairs) for masks in streams[n]]
             first = dict(_first_misses(streams[n], misses, indices))
             for i in indices:
-                rest = quartets[:i] + quartets[i + 1 :]
-                walked = list(decide._binary_walk(rest, n, quartets[i]))
+                rest = pairs[:i] + pairs[i + 1 :]
+                walked = list(decide._binary_walk(rest, n, pairs[i]))
                 alone = [m for m, missed in zip(streams[n], misses) if missed == [i]]
                 assert walked == alone
                 assert (walked[0] if walked else None) == first.get(i)
@@ -992,7 +992,7 @@ class TestIndex:
             pairs = [q.pair_masks() for q in quartets]
             misses = [_two_misses(masks, pairs) for masks in streams[n]]
             shown = [m for m, missed in zip(streams[n], misses) if not missed]
-            yield n, pairs, indices, shown, _first_misses(streams[n], misses, indices)
+            yield n, pairs, indices, shown, dict(_first_misses(streams[n], misses, indices))
 
     @staticmethod
     def _answers(n, pairs, indices):
@@ -1113,6 +1113,64 @@ class TestIndex:
         assert max(v.displayer_count for v in on) > 2
 
 
+class TestPairOrder:
+    """Every route takes its quartets as a list of pair masks, and answers
+    the same whatever the order of that list: the sorted list and three
+    shuffles of it, on seeded sets on 5-10 leaves."""
+
+    @staticmethod
+    def _cases():
+        """25 sets per n: the quartets of a random binary tree on n to 3n
+        random 4-leaf subsets, one in four given a quartet it does not
+        display, each with three shuffles of its sorted pairs."""
+        rng = random.Random(35)
+        for n in range(5, 11):
+            for _ in range(25):
+                tree = _random_binary_tree(rng, n)
+                chosen = set()
+                for _ in range(rng.randint(n, 3 * n)):
+                    four = _resolutions(rng.sample(range(n), 4))
+                    chosen.update(q for q in four if displays(tree, q))
+                if rng.random() < 0.25:
+                    four = _resolutions(rng.sample(range(n), 4))
+                    chosen.add(next(q for q in four if not displays(tree, q)))
+                pairs = sorted(q.pair_masks() for q in chosen)
+                yield n, pairs, [rng.sample(pairs, len(pairs)) for _ in range(3)]
+
+    @staticmethod
+    def _answers(n, pairs, avoid):
+        """What each route gives for the pairs in this order: the first
+        trees of each stream, as many as it takes to see their order."""
+        def first(stream):
+            return list(islice(stream, 20))
+
+        rest = [p for p in pairs if p != avoid]
+        settled = decide._closure_certificate(pairs, n)
+        answers = [
+            first(decide._binary_walk(pairs, n)),
+            first(decide._binary_walk(rest, n, avoid)),
+            settled and [tuple(sorted(masks)) for masks in settled],
+        ]
+        if n <= 9:
+            for mode in ("binary", "all"):
+                answers.append(first(decide._oracle_displayers(pairs, n, None, mode)))
+        if n <= decide._INDEX_LEAVES:
+            misses = decide._index(n, "binary").first_misses(pairs, range(len(pairs)))
+            answers.append({pairs[i]: masks for i, masks in misses.items()})
+        return answers
+
+    def test_routes_ignore_the_order(self):
+        answered = [0] * 6  # the sets where each route found something
+        for n, pairs, shuffles in self._cases():
+            avoid = pairs[len(pairs) // 2]
+            expected = self._answers(n, pairs, avoid)
+            for shuffled in shuffles:
+                assert self._answers(n, shuffled, avoid) == expected
+            for route, answer in enumerate(expected):
+                answered[route] += bool(answer)
+        assert all(answered)
+
+
 class TestRemovalWitnesses:
     """The one removal check, asked about a few quartets, answers as the
     full report does and as defines on the set minus each quartet does."""
@@ -1121,8 +1179,9 @@ class TestRemovalWitnesses:
         kinds = set()
         for qs, tree in _definitive_sets(200):
             quartets = qs.sorted_quartets()
+            pairs = [q.pair_masks() for q in quartets]
             for i, q in enumerate(quartets):
-                w = decide._removal_witnesses(quartets, tree, (i,), None)[i]
+                w = decide._removal_witnesses(pairs, tree, (i,), None)[i]
                 kinds.add(w.kind)
                 rest = defines(qs.without_quartet(q))
                 assert (w.kind == "redundant") == (rest.tree == tree)
@@ -1139,11 +1198,11 @@ class TestRemovalWitnesses:
     def test_a_subset_matches_the_report(self, qs):
         report = minimality_report(qs)
         tree = report.verdict.tree
-        quartets = [q for q, _ in report.entries]
-        everything = range(len(quartets))
+        pairs = [q.pair_masks() for q, _ in report.entries]
+        everything = range(len(pairs))
         for subset in [(i,) for i in everything] + [everything[::2], everything[1::2]]:
             expected = {i: report.entries[i][1] for i in subset}
-            assert decide._removal_witnesses(quartets, tree, subset, None) == expected
+            assert decide._removal_witnesses(pairs, tree, subset, None) == expected
 
 
 def _report_digest(reports):

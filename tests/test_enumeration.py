@@ -223,9 +223,9 @@ def _assert_pruned_is_filtered(qs, mode, whole):
     pairs = [q.pair_masks() for q in qs.sorted_quartets()]
     expected = [m for m in whole if _displays_masks(m, pairs)]
     if mode == "all":
-        assert list(_oracle_displayers(qs, None)) == expected
+        assert list(_oracle_displayers(pairs, qs.leaves.n, None)) == expected
     else:
-        walked = list(_binary_walk(qs.sorted_quartets(), qs.leaves.n))
+        walked = list(_binary_walk(pairs, qs.leaves.n))
         assert walked == expected
         assert [t.masks for t in displayers(qs, mode="binary")] == expected
     return len(expected)
