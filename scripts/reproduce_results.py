@@ -25,7 +25,6 @@ from quartets import (
     verify_construction,
 )
 from quartets.cli import run
-from quartets.enumeration import BINARY_CAP
 
 
 def double_factorial_count(n):
@@ -56,10 +55,8 @@ def reproduce(args):
             f"--binary-count-n must be at least 4, got {args.binary_count_n}"
         )
     # opening the stream checks the enumeration cap, so a count that would
-    # run for hours is refused before any work; the cap is passed, because
-    # this script has no option to raise it and the library's own refusal
-    # would advise passing one
-    enumerate_trees(args.binary_count_n, "binary", cap=BINARY_CAP)
+    # run for hours is refused before any work
+    enumerate_trees(args.binary_count_n, "binary")
     failures = 0
 
     print("== golden sets ==")

@@ -26,17 +26,15 @@ from .decide import (
     minimality_report,
     semantic_infers,
 )
-from .enumeration import _CAP_HINT, ALL_CAP, count_trees, enumerate_trees
-from .errors import ParseError, QuartetError, TooManyLeavesError
-from .model import MAX_LEAVES, LeafSet, integer_leaves, make_quartet, displays
+from .enumeration import ALL_CAP, count_trees, enumerate_trees
+from .errors import CapError, ParseError, QuartetError
+from .model import LeafSet, make_quartet, displays
 from .newick import parse_newick, serialize_newick
 from .quartetfile import parse_quartet_file, parse_quartet_text, serialize_quartet_set
 from .search import run_search
 
 # command-line default binary enumeration ceiling, tighter than the library's
 _CLI_BINARY_CAP = 10
-# what a refusal by a default cap ends with on the command line
-_CAP_FLAG_HINT = "; pass --cap to override"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,18 +146,10 @@ def _cmd_enumerate(args) -> int:
     cap = args.cap
     if cap is None:
         cap = _CLI_BINARY_CAP if mode == "binary" else ALL_CAP
-    try:
-        if args.count_only:
-            print(count_trees(args.n, mode, cap=cap))
-            return 0
-        stream = enumerate_trees(integer_leaves(args.n), mode, cap=cap)
-    except TooManyLeavesError as exc:
-        # the library hints at no override of a cap it is given, and the
-        # default cap is given; name the flag unless the model's cap refused
-        if args.cap is None and args.n <= MAX_LEAVES:
-            raise TooManyLeavesError(f"{exc}{_CAP_FLAG_HINT}") from None
-        raise
-    for tree in stream:
+    if args.count_only:
+        print(count_trees(args.n, mode, cap=cap))
+        return 0
+    for tree in enumerate_trees(args.n, mode, cap=cap):
         print(serialize_newick(tree))
     return 0
 
@@ -353,9 +343,9 @@ def run(body, args) -> int:
         code = 1
     except (QuartetError, OSError) as exc:
         message = str(exc)
-        if getattr(args, "cap", 0) is None and message.endswith(_CAP_HINT):
+        if isinstance(exc, CapError) and getattr(args, "cap", 0) is None:
             # a command's default cap refused: name the flag that lifts it
-            message = message[: -len(_CAP_HINT)] + _CAP_FLAG_HINT
+            message += "; pass --cap to override"
         print(f"error: {message}", file=sys.stderr)
         code = 2
     try:

@@ -128,9 +128,9 @@ from .enumeration import (
 )
 from .errors import (
     AmbientMismatchError,
+    CapError,
     QuartetError,
     TooFewLeavesError,
-    TooManyLeavesError,
 )
 from .model import (
     LeafSet,
@@ -308,8 +308,8 @@ def _check_scan(n: int, cap: int | None, lead: str) -> None:
     """Refuse a binary walk past the cap, saying first what needed it."""
     try:
         _check_size(n, "binary", cap)
-    except TooManyLeavesError as e:
-        raise TooManyLeavesError(f"{lead}: {e}") from None
+    except CapError as e:
+        raise CapError(f"{lead}: {e}") from None
 
 
 _INDEX_LEAVES = 8  # at most 8, or a split mask would not fit a byte of the table
@@ -326,8 +326,7 @@ class _Index:
     OR of the rows of the splits separating its pairs, cached in rows on
     first use: there are at most 3 * C(n, 4) of them, 210 at 8 leaves. A
     row depends only on n, mode and the quartet, so a partly filled
-    index answers as a fresh one would; threads racing on one entry
-    compute it twice, the same both times.
+    index answers as a fresh one would.
     """
 
     def __init__(self, n: int, mode: Mode):

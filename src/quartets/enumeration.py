@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Literal
 
-from .errors import QuartetError, TooFewLeavesError, TooManyLeavesError
+from .errors import CapError, QuartetError, TooFewLeavesError
 from .model import (
     MAX_LEAVES,
     LeafSet,
@@ -51,8 +51,6 @@ Mode = Literal["binary", "all"]
 
 BINARY_CAP = 12  # 654,729,075 trees, the documented worst case
 ALL_CAP = 9  # 660,032 trees
-# ends a refusal by a default cap; the CLI names its flag in its place
-_CAP_HINT = "; pass an explicit cap to override"
 
 _MODES = ("binary", "all")
 
@@ -75,10 +73,7 @@ def _check_size(n: int, mode: str, cap: int | None) -> None:
         integer_leaves(n)  # raises the model's leaf-cap error, whatever the cap
     limit = cap if cap is not None else (BINARY_CAP if mode == "binary" else ALL_CAP)
     if n > limit:
-        raise TooManyLeavesError(
-            f"{n} leaves exceeds the enumeration cap {limit} for mode {mode!r}"
-            + ("" if cap is not None else _CAP_HINT)
-        )
+        raise CapError(f"{n} leaves exceeds the enumeration cap {limit} for mode {mode!r}")
 
 
 # the pendant edges of a tree on leaves 0..k-1, ascending, for every k;

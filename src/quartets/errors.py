@@ -49,6 +49,10 @@ class TooManyLeavesError(QuartetError):
     """Leaf count exceeds a hard cap (64 for the model, smaller for enumeration)."""
 
 
+class CapError(TooManyLeavesError):
+    """Leaf count exceeds an enumeration cap, which a larger cap lifts."""
+
+
 class TooFewLeavesError(QuartetError):
     """Leaf count below the minimum the operation supports."""
 

@@ -103,6 +103,20 @@ class TestCheck:
             for q in qs.without_quartet(dropped):
                 assert displays(alt, q)
 
+    def test_definitive_but_not_minimal_exits_one(self, tmp_path):
+        f = tmp_path / "q6plus.txt"
+        f.write_text(DATA.joinpath("q6.txt").read_text() + "1,2|4,6\n")
+        out = run("check", "--quartets", str(f))
+        assert out.returncode == 1
+        assert "minimal: no" in out.stdout
+
+    def test_oracle_text_counts_the_displayers(self, tmp_path):
+        f = tmp_path / "q6head.txt"
+        f.write_text("".join(DATA.joinpath("q6.txt").read_text().splitlines(True)[:3]))
+        out = run("check", "--mode", "oracle", "--quartets", str(f))
+        assert out.returncode == 1
+        assert "defines: no (7 displayers)\n" in out.stdout
+
     def test_oracle_mode(self):
         out = run("check", "--quartets", Q6, "--mode", "oracle", "--json")
         assert out.returncode == 0
@@ -446,6 +460,14 @@ class TestUsage:
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr == f"{expected}; pass --cap to override\n"
+
+    def test_the_flag_is_named_up_to_the_model_cap(self):
+        out = run("enumerate", "--n", "64", "--count-only")
+        assert out.returncode == 2
+        assert out.stderr.endswith("; pass --cap to override\n")
+        out = run("enumerate", "--n", "65", "--count-only")
+        assert out.returncode == 2
+        assert out.stderr == "error: 65 leaves exceeds the 64-leaf cap\n"
 
     def test_no_cap_reaches_past_the_model_cap(self):
         out = run("enumerate", "--n", "70", "--count-only", "--cap", "70")

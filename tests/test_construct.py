@@ -367,6 +367,11 @@ class TestVerifyConstruction:
         assert [lv.n for lv in report.levels] == [5, 6, 7]
         assert report.all_ok
 
+    def test_the_first_level_alone(self):
+        report = verify_construction(5)
+        assert [lv.n for lv in report.levels] == [5]
+        assert report.all_ok
+
     def test_oracle_rows_are_skipped_above_the_bound(self):
         report = verify_construction(8, oracle_max_n=6)
         by_n = {lv.n: dict(lv.checks) for lv in report.levels}

@@ -13,6 +13,7 @@ import oracles
 from conftest import DATA, qset, quartet_set_from_indices, refuse_scan
 from quartets import (
     AmbientMismatchError,
+    CapError,
     TooFewLeavesError,
     TooManyLeavesError,
     DEFINES,
@@ -1339,6 +1340,15 @@ class TestScanCap:
         message = str(info.value)
         assert "closure certificate did not settle" in message
         assert "cap 12" in message
+
+    def test_a_scan_refusal_is_a_cap_error_led_by_its_cause(self):
+        qs = minimal_definitive_set(13)
+        with pytest.raises(CapError) as info:
+            minimality_report(qs)
+        assert str(info.value).startswith("the minimality witnesses for ")
+        assert str(info.value).endswith(
+            ": 13 leaves exceeds the enumeration cap 12 for mode 'binary'"
+        )
 
     def test_a_cap_below_n_gives_the_index_answer(self, monkeypatch):
         # on up to eight leaves the index answers whatever the cap, so a

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import DATA
 from quartets import (
+    CapError,
     PhyloTree,
     QuartetSet,
     TooFewLeavesError,
@@ -287,6 +288,17 @@ def test_explicit_cap_overrides_default():
     with pytest.raises(TooManyLeavesError):
         count_trees(9, "binary", cap=8)
     assert count_trees(9, "binary", cap=9) == oracles.binary_tree_count(9)
+
+
+def test_a_cap_refusal_names_only_the_cap_and_the_mode():
+    # a larger cap lifts it, but the library names no way to pass one
+    with pytest.raises(CapError) as info:
+        count_trees(13, "binary")
+    assert str(info.value) == "13 leaves exceeds the enumeration cap 12 for mode 'binary'"
+    # no cap lifts the model's
+    with pytest.raises(TooManyLeavesError) as info:
+        count_trees(65, "all", cap=65)
+    assert not isinstance(info.value, CapError)
 
 
 @pytest.mark.parametrize("n, mode", [(70, "binary"), (65, "all")])

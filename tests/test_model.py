@@ -170,6 +170,12 @@ class TestSplit:
         assert Split.from_side(ls, ["4", "5"]).is_nontrivial()
         assert not Split.from_side(ls, ["5"]).is_nontrivial()
 
+    def test_side_of_leaf_zero_is_trivial(self):
+        # the mask stored is the other side, the n - 1 leaves without leaf 0
+        s = Split.from_side(integer_leaves(6), ["1"])
+        assert s.mask == 62
+        assert not s.is_nontrivial()
+
     def test_compatibility(self):
         ls = integer_leaves(6)
         nested = Split.from_side(ls, ["5", "6"])

@@ -71,6 +71,15 @@ def test_reproduce_results_refuses_a_construction_out_of_range(max_n, message):
     _refused(run("reproduce_results.py", "--max-n", max_n), message)
 
 
+def test_explore_search_names_no_cap_option():
+    # past 12 leaves a set the certificate does not settle needs the binary
+    # scan, and the script has no option that lifts its cap
+    out = run("explore_search.py", "--n", "13", "--budget", "5", "--seeds", "1")
+    _refused(out, "enumeration cap 12")
+    assert out.stderr.count("\n") == 1
+    assert "override" not in out.stderr and "--cap" not in out.stderr
+
+
 def test_explore_search_refuses_three_leaves():
     out = run("explore_search.py", "--n", "3", "--budget", "5", "--seeds", "1")
     _refused(out, "at least four leaves")

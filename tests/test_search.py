@@ -135,6 +135,10 @@ class TestRunSearch:
         with pytest.raises(QuartetError):
             run_search(5, target_size=0, budget=10, seed=0)
 
+    def test_a_budget_of_one_runs_one_trial(self):
+        (finding,) = run_search(6, 3, 1, 1)
+        assert finding.trials_used == 1
+
     def test_bad_budget(self):
         with pytest.raises(QuartetError):
             run_search(5, target_size=2, budget=0, seed=0)
